@@ -16,6 +16,29 @@ In the short-pulse (Raman-Nath) limit the pulse acts as a delta kick of
 strength phi_d = V0*tau_p/(2*hbar); the dimensionless depth
 gamma = m*V0/(hbar*kappa)^2 controls how quickly kinetic motion during the
 pulse destroys that picture.
+
+Echo folding.  The batched return amplitudes run only the forward half of
+the echo.  The truncated pulse propagator U+ = V exp(-i w tau_p) V^T is
+complex symmetric, and the reversed pulse is U- = P U+ P with
+P = diag((-1)^q), because P flips the sign of the couplings and keeps the
+diagonal.  The free flight F = diag(F_q) commutes with P.  With
+c = (F U+)^n e_0 the forward state, transposing (F U+)^n = F (U+ F)^n F^-1
+gives
+
+    c_0(final) = e_0^T (F U-)^n c = e_0^T P (F U+)^n P c
+               = F_0 * sum_q (-1)^q c_q^2 / F_q.
+
+This holds on the truncated ladder for any beta and any period, with no
+approximation; it is the time-reversal structure of the Loschmidt echo
+(Peres, Phys. Rev. A 30, 1610 (1984)).  At beta = 0 the kinetic diagonal
+is even in q and the state stays even, so the run is restricted to the
+even sector q = 0 .. q_max with amplitudes a_0 = c_0, a_q = sqrt(2) c_q;
+there the 0-1 coupling is sqrt(2) times the others and the same sum over
+q >= 0 gives c_0.  Folding halves the pulse products, builds one
+propagator per beta instead of two, and at beta = 0 shrinks each product
+about four times.  The folded c_0 depends on the forward state only, so
+the edge and norm gates on that state bound its truncation error.
+run_finite_sequence keeps the full two-train run as the reference.
 """
 
 from __future__ import annotations
@@ -33,6 +56,7 @@ from .ladder import (
     NORM_TOL,
     LadderState,
     WavepacketSpec,
+    _check_edge_population,
     _check_edges,
     _convolve_kick,
     auto_q_max,
@@ -76,8 +100,8 @@ class FinitePulseSpec:
             raise ValueError(f"n_pulses must be a positive integer, got {self.n_pulses!r}")
         if self.v0 < 0.0 or not math.isfinite(self.v0):
             raise ValueError(f"v0 must be >= 0 and finite, got {self.v0!r}")
-        if not (self.period > 0.0):
-            raise ValueError(f"period must be positive, got {self.period!r}")
+        if not (0.0 < self.period < math.inf):
+            raise ValueError(f"period must be positive and finite, got {self.period!r}")
         if not (0.0 <= self.tau_p <= self.period):
             raise ValueError(
                 f"tau_p must satisfy 0 <= tau_p <= period, got {self.tau_p!r}"
@@ -112,26 +136,44 @@ def auto_q_max_finite(spec: FinitePulseSpec, params: PhysicalParams) -> int:
 
 
 def pulse_bands(
-    spec: FinitePulseSpec, beta: float, q_max: int, sign: int, params: PhysicalParams
+    spec: FinitePulseSpec,
+    beta: float,
+    q_max: int,
+    sign: int,
+    params: PhysicalParams,
+    even: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonal pulse Hamiltonian in angular-frequency units (H/hbar).
 
     Returns (diagonal, off-diagonal): kinetic rates (q+beta)^2 * 2*pi/T_T
-    and uniform couplings sign*v0/(4*hbar).
+    and uniform couplings sign*v0/(4*hbar).  With even=True (beta = 0
+    only) the Hamiltonian is restricted to the even sector q = 0 .. q_max
+    in the basis |0>, (|q> + |-q>)/sqrt(2); there the 0-1 coupling is
+    sqrt(2) times the others.
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    qs = np.arange(-q_max, q_max + 1)
+    if even and beta != 0.0:
+        raise ValueError(f"the even sector exists only at beta = 0, got {beta!r}")
+    qs = np.arange(0 if even else -q_max, q_max + 1)
     diag = (qs + beta) ** 2 * (2.0 * math.pi / params.talbot_time)
-    off = np.full(2 * q_max, sign * spec.v0 / (4.0 * HBAR))
+    off = np.full(qs.size - 1, sign * spec.v0 / (4.0 * HBAR))
+    if even:
+        off[:1] *= math.sqrt(2.0)
     return diag, off
 
 
 def pulse_propagator(
-    spec: FinitePulseSpec, beta: float, q_max: int, sign: int, params: PhysicalParams
+    spec: FinitePulseSpec,
+    beta: float,
+    q_max: int,
+    sign: int,
+    params: PhysicalParams,
+    even: bool = False,
 ) -> np.ndarray:
-    """Dense unitary exp(-i*H*tau_p/hbar) via tridiagonal eigendecomposition."""
-    diag, off = pulse_bands(spec, beta, q_max, sign, params)
+    """Dense unitary exp(-i*H*tau_p/hbar) via tridiagonal eigendecomposition
+    (on the even sector q = 0 .. q_max when even=True, see pulse_bands)."""
+    diag, off = pulse_bands(spec, beta, q_max, sign, params, even)
     w, v = linalg.eigh_tridiagonal(diag, off)
     phases = np.exp(-1j * w * spec.tau_p)
     return (v * phases) @ v.T
@@ -241,7 +283,7 @@ def run_finite_sequence(
                 state = apply_finite_pulse(state, spec, sign, params, method)
                 state = LadderState(beta, q_max, state.amps * free_phase)
     norm = state.norm()
-    if abs(norm - 1.0) > NORM_TOL:
+    if not (abs(norm - 1.0) <= NORM_TOL):
         raise TruncationError(
             f"norm drifted to {norm!r} over the finite-pulse sequence; ladder too narrow"
         )
@@ -259,11 +301,19 @@ def finite_return_amplitudes(
 ) -> np.ndarray:
     """Vectorized return amplitudes c_{q=0} over broadcast (periods, betas).
 
-    The pulse propagator is period-independent, so for each distinct beta
-    the pulse is one dense matrix applied to all period columns at once;
-    free-flight phases vary per column.  Amplitudes carry the complete
-    fiber phase (nothing is gauged away), so they can be averaged
-    coherently across fibers.
+    Only the forward train is run; the reversed train is folded onto it
+    (module docstring): with c the state after the n_pulses forward
+    periods, c_0 = F_0 * sum_q (-1)^q c_q^2 / F_q, F the free-flight phases
+    of the column.  Columns with beta = 0 run on the even sector
+    q = 0 .. q_max.  For each distinct beta the pulse is one dense matrix
+    applied to all period columns at once; free-flight phases vary per
+    column.  Amplitudes carry the complete fiber phase (nothing is gauged
+    away), so they can be averaged coherently across fibers.
+
+    The edge gate (every period, on per-rung populations) and the norm
+    gate act on the forward state only.  The folded c_0 is a function of
+    that state alone, so they bound its truncation error as they bound the
+    error of the full two-train run.
     """
     periods_b, betas_b = np.broadcast_arrays(
         np.atleast_1d(np.asarray(periods, dtype=float)),
@@ -272,43 +322,65 @@ def finite_return_amplitudes(
     shape = periods_b.shape
     t = periods_b.ravel()
     bet = betas_b.ravel()
+    if not (
+        np.all(np.isfinite(t))
+        and np.all(np.isfinite(bet))
+        and math.isfinite(v0)
+        and math.isfinite(tau_p)
+    ):
+        raise ValueError("periods, betas, v0 and tau_p must be finite")
     if np.any(t <= 0.0) or tau_p < 0.0 or np.any(t < tau_p):
         raise ValueError("periods must be positive and no smaller than tau_p")
     out = np.empty(t.size, dtype=np.complex128)
     for beta in np.unique(bet):
         cols = np.nonzero(bet == beta)[0]
         spec = FinitePulseSpec(n_pulses, v0, tau_p, float(np.min(t[cols])))
-        if q_max is None:
-            qm = auto_q_max_finite(spec, params)
-        else:
-            qm = q_max
-        qs = np.arange(-qm, qm + 1)
-        amps = np.zeros((2 * qm + 1, cols.size), dtype=np.complex128)
-        amps[qm, :] = 1.0
-        free = np.exp(
-            -2j * math.pi * ((t[cols] - tau_p) / params.talbot_time)[None, :]
-            * ((qs + beta) ** 2)[:, None]
-        )
-        for sign in (+1, -1):
-            u = (
-                pulse_propagator(spec, beta, qm, sign, params)
-                if tau_p > 0.0
-                else None
-            )
-            for _ in range(n_pulses):
-                if u is not None:
-                    amps = u @ amps
-                _check_edges(amps, qm)
-                amps *= free
-        norms = np.sum(np.abs(amps) ** 2, axis=0)
-        worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > NORM_TOL:
-            raise TruncationError(
-                f"norm drifted by {worst:.3e} in the batched finite-pulse run; "
-                "ladder too narrow"
-            )
-        out[cols] = amps[qm, :]
+        qm = auto_q_max_finite(spec, params) if q_max is None else q_max
+        out[cols] = _folded_echo(spec, float(beta), t[cols], qm, params)
     return out.reshape(shape)
+
+
+def _folded_echo(
+    spec: FinitePulseSpec,
+    beta: float,
+    periods: np.ndarray,
+    q_max: int,
+    params: PhysicalParams,
+) -> np.ndarray:
+    """Return amplitudes of one beta fiber from its forward train alone."""
+    even = beta == 0.0
+    i0 = 0 if even else q_max
+    qs = np.arange(-i0, q_max + 1)
+    edge = np.abs(qs) > q_max - EDGE_BAND
+    # Population of one rung per squared amplitude: an even-sector
+    # amplitude a_q (q >= 1) stands for the rungs +q and -q, |a_q|^2/2 each.
+    edge_weight = np.where(even & (qs[edge] != 0), 0.5, 1.0)[:, None]
+    free = np.exp(
+        -2j * math.pi * ((periods - spec.tau_p) / params.talbot_time)[None, :]
+        * ((qs + beta) ** 2)[:, None]
+    )
+    u = (
+        pulse_propagator(spec, beta, q_max, +1, params, even)
+        if spec.tau_p > 0.0
+        else None
+    )
+    amps = np.zeros((qs.size, periods.size), dtype=np.complex128)
+    amps[i0, :] = 1.0
+    for _ in range(spec.n_pulses):
+        if u is not None:
+            amps = u @ amps
+        band = np.abs(amps[edge]) ** 2 * edge_weight
+        _check_edge_population(float(np.max(band)), q_max)
+        amps *= free
+    norms = np.sum(np.abs(amps) ** 2, axis=0)
+    worst = float(np.max(np.abs(norms - 1.0)))
+    if not (worst <= NORM_TOL):
+        raise TruncationError(
+            f"norm drifted by {worst:.3e} in the batched finite-pulse run; "
+            "ladder too narrow"
+        )
+    parity = np.where(qs % 2 == 0, 1.0, -1.0)[:, None]
+    return free[i0] * np.sum(parity * amps**2 / free, axis=0)
 
 
 def finite_outputs_batched(

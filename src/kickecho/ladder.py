@@ -151,10 +151,17 @@ def _convolve_kick(amps: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def _check_edges(amps: np.ndarray, q_max: int) -> None:
-    band = np.abs(amps[:EDGE_BAND]) ** 2
-    band2 = np.abs(amps[-EDGE_BAND:]) ** 2
-    worst = max(band.max(), band2.max())
-    if worst > EDGE_TOL:
+    """Edge gate on the outer EDGE_BAND rungs at both ends of the ladder."""
+    lo = np.abs(amps[:EDGE_BAND]).max() ** 2
+    hi = np.abs(amps[-EDGE_BAND:]).max() ** 2
+    if not (lo <= EDGE_TOL and hi <= EDGE_TOL):
+        _check_edge_population(float(np.maximum(lo, hi)), q_max)
+
+
+def _check_edge_population(worst: float, q_max: int) -> None:
+    """Raise TruncationError unless the worst edge-band rung population is
+    within EDGE_TOL; written so that NaN fails the gate."""
+    if not (worst <= EDGE_TOL):
         raise TruncationError(
             f"edge-band population {worst:.3e} exceeds {EDGE_TOL:.0e} on ladder "
             f"with q_max = {q_max}; rerun with a wider ladder"
@@ -294,7 +301,7 @@ def run_sequence(
         seq.n_kicks * seq.period,
     )
     norm = state.norm()
-    if abs(norm - 1.0) > NORM_TOL:
+    if not (abs(norm - 1.0) <= NORM_TOL):
         raise TruncationError(
             f"norm drifted to {norm!r} over the sequence; ladder too narrow"
         )
@@ -428,7 +435,7 @@ def batched_return_amplitudes(
 
     norms = np.sum(np.abs(amps) ** 2, axis=0)
     worst = float(np.max(np.abs(norms - 1.0)))
-    if worst > NORM_TOL:
+    if not (worst <= NORM_TOL):
         raise TruncationError(
             f"norm drifted by {worst:.3e} over the batched sequence; ladder too narrow"
         )

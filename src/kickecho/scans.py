@@ -678,9 +678,11 @@ def measure_peak_shift(
     """Offset of the timing peak from the l-th resonance multiple.
 
     Finite pulses shift the echo peak slightly off the exact resonance
-    period.  The shift is measured by a dense timing scan around
-    l * T_T with a least-squares parabola through the samples within
-    +-0.3 widths of the maximum.
+    period.  The shift is measured by a dense timing scan of +-0.75
+    widths around l * T_T with a least-squares parabola through the
+    samples within +-0.3 widths of the maximum.  The fit window is chosen
+    by index, round(0.2 * (n_points - 1)) samples on each side clipped to
+    the grid, so rounding of the width cannot add or drop an edge sample.
 
     The scan grid of offsets is always derived from the measured width
     at l = 1, so calls with different l sample identical offsets around
@@ -709,7 +711,8 @@ def measure_peak_shift(
         raise PeakNotBracketedError(
             f"timing peak near {multiple_l} * T_T lies outside the scan window"
         )
-    sel = np.abs(offsets - offsets[i_max]) <= 0.3 * w_ref
+    half = round(0.2 * (n_points - 1))
+    sel = slice(max(i_max - half, 0), min(i_max + half + 1, n_points))
     a, b, _ = np.polyfit(offsets[sel] - offsets[i_max], output[sel], 2)
     if a >= 0.0:
         raise PeakNotBracketedError(

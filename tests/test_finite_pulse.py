@@ -1,17 +1,22 @@
 """Finite-pulse propagation: limits, cross-validated propagators, and the
 independent position-grid oracle."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kickecho.analytic import fwhm_eps
-from kickecho.errors import GridResolutionError
+from kickecho.errors import GridResolutionError, TruncationError
 from kickecho.finite_pulse import (
     FinitePulseSpec,
     apply_finite_pulse,
     auto_q_max_finite,
     finite_gaussian_output,
     finite_outputs_batched,
+    finite_return_amplitudes,
     finite_wavepacket_grid_output,
     pulse_propagator,
     run_finite_sequence,
@@ -21,6 +26,7 @@ from kickecho.finite_pulse import (
 from kickecho.ladder import (
     SequenceSpec,
     WavepacketSpec,
+    _check_edges,
     auto_q_max,
     ground_state,
     run_sequence,
@@ -140,6 +146,62 @@ def test_batched_outputs_match_scalar_runs(params):
         assert val == pytest.approx(float(want), rel=1e-10)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    gamma=st.floats(min_value=0.5, max_value=60.0),
+    n_pulses=st.integers(min_value=1, max_value=24),
+    tau_us=st.floats(min_value=0.1, max_value=4.0),
+    offsets=st.lists(
+        st.floats(min_value=-0.04, max_value=0.04), min_size=1, max_size=3
+    ),
+    beta=st.one_of(st.just(0.0), st.floats(min_value=-0.5, max_value=0.5)),
+)
+def test_folded_echo_matches_two_train_run(
+    params, gamma, n_pulses, tau_us, offsets, beta
+):
+    """Time reversal (any beta) and parity (beta = 0) fold the echo onto its
+    forward train; the folded return amplitudes equal those of the full
+    two-train run, phases included."""
+    v0 = v0_from_gamma(gamma, params)
+    periods = params.talbot_time * (1.0 + np.array(offsets))
+    folded = finite_return_amplitudes(
+        n_pulses, v0, tau_us * 1e-6, periods, beta, params
+    )
+    for period, amp in zip(periods, folded):
+        spec = FinitePulseSpec(n_pulses, v0, tau_us * 1e-6, float(period))
+        state, _ = run_finite_sequence(spec, beta, params)
+        assert abs(amp - state.amplitude(0)) <= 1e-10
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.2])
+def test_folded_echo_rejects_a_narrow_ladder(params, beta):
+    spec = FinitePulseSpec(16, v0_from_gamma(20.0, params), 1e-6, params.talbot_time)
+    narrow = 12  # auto_q_max_finite picks 51; at 12 both fibers fill the edge band
+    with pytest.raises(TruncationError):
+        run_finite_sequence(spec, beta, params, q_max=narrow)
+    with pytest.raises(TruncationError):
+        finite_return_amplitudes(
+            spec.n_pulses, spec.v0, spec.tau_p, spec.period, beta, params, q_max=narrow
+        )
+
+
+def test_non_finite_inputs_fail_closed(params):
+    t_t = params.talbot_time
+    with pytest.raises(ValueError, match="finite"):
+        finite_return_amplitudes(4, 1e-29, 1e-6, [math.inf, t_t], 0.0, params)
+    with pytest.raises(ValueError, match="finite"):
+        finite_return_amplitudes(4, 1e-29, 1e-6, t_t, [0.0, math.nan], params)
+    with pytest.raises(ValueError, match="finite"):
+        finite_return_amplitudes(4, math.nan, 1e-6, t_t, 0.0, params)
+    with pytest.raises(ValueError, match="finite"):
+        finite_return_amplitudes(4, 1e-29, math.inf, t_t, 0.0, params)
+    amps = np.zeros(21, dtype=np.complex128)
+    amps[10] = 1.0
+    amps[0] = math.nan
+    with pytest.raises(TruncationError):
+        _check_edges(amps, 10)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         FinitePulseSpec(0, 1e-29, 1e-6, 1e-4)
@@ -149,6 +211,8 @@ def test_spec_validation():
         FinitePulseSpec(2, 1e-29, 2e-4, 1e-4)  # tau_p > period
     with pytest.raises(ValueError):
         FinitePulseSpec(2, 1e-29, 1e-6, 0.0)
+    with pytest.raises(ValueError):
+        FinitePulseSpec(2, 1e-29, 1e-6, math.inf)
     with pytest.raises(ValueError):
         FinitePulseSpec(2, 1e-29, 1e-6, 1e-4, accel=0.5)
 

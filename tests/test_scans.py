@@ -181,6 +181,25 @@ def test_peak_shift_is_stable_across_resonance_multiples(params):
     assert abs(d1 - d2) < 1e-10 * abs(d1)
 
 
+def test_peak_shift_fits_a_symmetric_index_window(params, monkeypatch):
+    """The parabola through the timing peak takes round(0.2 * 300) = 60
+    samples on each side of the maximum of the 301-point scan, so rounding
+    of the reference width cannot add or drop an edge sample."""
+    fitted = []
+    polyfit = np.polyfit
+
+    def spy(x, y, deg):
+        fitted.append(np.asarray(x))
+        return polyfit(x, y, deg)
+
+    monkeypatch.setattr(np, "polyfit", spy)
+    measure_peak_shift(4, 10.0, 2e-6, 1, params)
+    x = fitted[-1]
+    assert x.size == 2 * 60 + 1
+    assert x[60] == 0.0
+    np.testing.assert_allclose(x + x[::-1], 0.0, atol=1e-12 * np.max(np.abs(x)))
+
+
 def test_peak_shift_validation(params):
     with pytest.raises(ValueError):
         measure_peak_shift(4, 10.0, 2e-6, 0, params)
