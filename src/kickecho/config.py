@@ -10,6 +10,7 @@ a bad config never produces output files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -202,6 +203,9 @@ def _check_bounds(values: dict[str, Any]) -> None:
                 f"{key} must be at least {bound}, got {values[key]!r}"
             )
 
+    for key, value in values.items():
+        if _KEY_TYPES.get(key) is float and value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     positive("mass_u")
     positive("lambda_nm")
     positive("gamma")

@@ -412,14 +412,21 @@ def finite_gaussian_output(
 ) -> float:
     """Return probability of a Gaussian wavepacket through a finite-pulse
     sequence: the squared coherent fiber-amplitude average, as in the
-    delta-kick gaussian_output."""
+    delta-kick gaussian_output.
+
+    Finite-pulse sequences have zero acceleration, so parity gives
+    c_0(beta) = c_0(-beta).  The Gauss-Hermite rules used here have an odd
+    node count and mirror-symmetric nodes, so only the nodes with
+    beta >= 0 are run and their amplitudes are mirrored onto the rest.
+    """
     prev = None
     n = 33
     while n <= max_nodes:
         betas, weights = gaussian_beta_nodes(wavepacket, params, n)
-        amps = finite_return_amplitudes(
-            spec.n_pulses, spec.v0, spec.tau_p, spec.period, betas, params
+        half = finite_return_amplitudes(
+            spec.n_pulses, spec.v0, spec.tau_p, spec.period, betas[n // 2 :], params
         )
+        amps = np.concatenate([half[:0:-1], half])
         val = float(np.abs(np.dot(weights, amps)) ** 2)
         if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-12):
             return val

@@ -42,6 +42,14 @@ KERNEL_TOL = 1e-16
 
 NORM_TOL = 1e-10
 
+# The batched engine runs its columns in blocks whose work arrays hold about
+# this many entries (sites x columns): 368 columns at q_max = 44.  Each block
+# goes through every kick before the next starts, so its arrays stay in
+# cache.  On a 2-core Xeon with 2 MiB of L2 per core the benchmark's
+# wavepacket operations took 2.9-3.0 s with 16k or 32k entries, 4.2-4.9 s
+# with 64k and 6.1 s unblocked; 32k splits wide ladders into fewer blocks.
+BLOCK_ENTRIES = 32768
+
 
 @dataclass
 class LadderState:
@@ -133,20 +141,33 @@ def kick_kernel(phi_d: float, sign: int = +1) -> np.ndarray:
     return (sign * -1j) ** d * jd
 
 
-def _convolve_kick(amps: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _convolve_kick(
+    amps: np.ndarray,
+    kernel: np.ndarray,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
+) -> np.ndarray:
     """Apply a kick kernel along axis 0 of a (sites,) or (sites, m) array.
 
     Amplitude pushed past the ladder ends is lost; the edge monitor is
-    responsible for rejecting runs where that loss matters.
+    responsible for rejecting runs where that loss matters.  out receives
+    the result and tmp is scratch; both must have the shape of amps and
+    are allocated when not given, so no array is allocated per kernel
+    order.
     """
     half = (len(kernel) - 1) // 2
     n = amps.shape[0]
-    out = np.zeros_like(amps)
+    if out is None:
+        out = np.zeros_like(amps)
+    else:
+        out.fill(0.0)
+    if tmp is None:
+        tmp = np.empty_like(amps)
     for d in range(-half, half + 1):
         lo, hi = max(0, d), min(n, n + d)
         if lo >= hi:  # kernel order shifts everything off this ladder
             continue
-        out[lo:hi] += kernel[d + half] * amps[lo - d : hi - d]
+        out[lo:hi] += np.multiply(kernel[d + half], amps[lo - d : hi - d], out=tmp[lo:hi])
     return out
 
 
@@ -220,10 +241,12 @@ class SequenceSpec:
     def __post_init__(self):
         if self.n_kicks < 1 or int(self.n_kicks) != self.n_kicks:
             raise ValueError(f"n_kicks must be a positive integer, got {self.n_kicks!r}")
-        if self.phi_d < 0.0:
-            raise ValueError(f"phi_d must be >= 0, got {self.phi_d!r}")
-        if not (self.period > 0.0):
-            raise ValueError(f"period must be positive, got {self.period!r}")
+        if not (0.0 <= self.phi_d < math.inf):
+            raise ValueError(f"phi_d must be finite and >= 0, got {self.phi_d!r}")
+        if not (0.0 < self.period < math.inf):
+            raise ValueError(f"period must be finite and positive, got {self.period!r}")
+        if not math.isfinite(self.accel):
+            raise ValueError(f"accel must be finite, got {self.accel!r}")
 
     def detuning(self, params: PhysicalParams) -> float:
         return self.period - params.talbot_time
@@ -393,6 +416,16 @@ def batched_return_amplitudes(
     accelerated action is omitted; it is common to every fiber of a case
     with the same (period, accel), so populations and coherent
     fiber averages at fixed acceleration are unaffected.
+
+    The columns run in blocks of about BLOCK_ENTRIES / sites columns, each
+    block through all 2*n_kicks kicks before the next.  Every column goes
+    through the same floating-point operations in the same order whatever
+    block it lands in, so a column's amplitude is bit-identical however
+    the columns are batched, ordered or split across workers.  The edge
+    gate runs after every kick and the norm gate at the end of every
+    block; a column failing either raises TruncationError, which reports
+    the worst value within the failing block.  Non-finite inputs raise
+    ValueError.
     """
     periods_b, betas_b, accels_b = np.broadcast_arrays(
         np.atleast_1d(np.asarray(periods, dtype=float)),
@@ -403,18 +436,40 @@ def batched_return_amplitudes(
     t = periods_b.ravel()
     bet = betas_b.ravel()
     acc = accels_b.ravel()
+    if not (np.isfinite(t).all() and np.isfinite(bet).all() and np.isfinite(acc).all()):
+        raise ValueError("periods, betas and accels must all be finite")
     if np.any(t <= 0.0):
         raise ValueError("all periods must be positive")
 
     if q_max is None:
         q_max = auto_q_max(n_kicks, phi_d)
     qs = np.arange(-q_max, q_max + 1)
-    n_sites = qs.size
-    m_cases = t.size
+    kernels = (kick_kernel(phi_d, +1), kick_kernel(phi_d, -1))
+    width = max(1, BLOCK_ENTRIES // qs.size)
+    out = np.empty(t.size, dtype=np.complex128)
+    for lo in range(0, t.size, width):
+        block = slice(lo, lo + width)
+        out[block] = _run_block(n_kicks, kernels, t[block], bet[block], acc[block], qs, params)
+    return out.reshape(shape)
+
+
+def _run_block(
+    n_kicks: int,
+    kernels: tuple[np.ndarray, np.ndarray],
+    t: np.ndarray,
+    bet: np.ndarray,
+    acc: np.ndarray,
+    qs: np.ndarray,
+    params: PhysicalParams,
+) -> np.ndarray:
+    """Return amplitudes of one block of columns of batched_return_amplitudes."""
+    q_max = (qs.size - 1) // 2
     qb = qs[:, None] + bet[None, :]
 
-    amps = np.zeros((n_sites, m_cases), dtype=np.complex128)
+    amps = np.zeros((qs.size, t.size), dtype=np.complex128)
     amps[q_max, :] = 1.0
+    out = np.empty_like(amps)
+    tmp = np.empty_like(amps)
 
     # Per-period quadratic phase, fixed per case; linear-in-(q+beta) phase
     # advances by a constant factor each interval (arithmetic progression in
@@ -425,10 +480,9 @@ def batched_return_amplitudes(
     interval_phase = quad * step  # interval n = 1 uses coefficient (2n-1) = 1
     step_sq = step * step
 
-    kernel_p = kick_kernel(phi_d, +1)
-    kernel_m = kick_kernel(phi_d, -1)
     for k in range(2 * n_kicks):
-        amps = _convolve_kick(amps, kernel_p if k < n_kicks else kernel_m)
+        _convolve_kick(amps, kernels[k >= n_kicks], out, tmp)
+        amps, out = out, amps
         _check_edges(amps, q_max)
         amps *= interval_phase
         interval_phase *= step_sq
@@ -439,7 +493,7 @@ def batched_return_amplitudes(
         raise TruncationError(
             f"norm drifted by {worst:.3e} over the batched sequence; ladder too narrow"
         )
-    return amps[q_max, :].reshape(shape)
+    return amps[q_max, :]
 
 
 def run_sequence_batched(

@@ -15,6 +15,7 @@ bit-identical curves.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -284,8 +285,10 @@ def _evaluate(
 
     if workers <= 1 or values.size < 2 * workers:
         return run(values)
+    # The chunks follow the worker count, so the curve does not depend on
+    # the core count; threads beyond it would only contend.
     chunks = np.array_split(values, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         parts = list(pool.map(run, chunks))
     return np.concatenate(parts)
 
@@ -316,8 +319,10 @@ def scan(
     n_points : int
         Samples across the window; at least 32.
     workers : int
-        Contiguous chunks evaluated concurrently.  The curve for a given
-        worker count is bit-identical between runs.
+        Contiguous chunks, evaluated on at most os.cpu_count() threads.
+        The curve for a given worker count is bit-identical between runs,
+        whatever the core count; delta-kick curves are bit-identical for
+        every worker count.
 
     Returns
     -------
@@ -401,15 +406,18 @@ def gaussian_accel_curve(
     probability, as in gaussian_output), evaluated on a spike-resolving
     quadrature grid whose density is doubled until the curve is stable
     to tol (relative to its maximum).
+
+    The grids nest: doubling the density halves the step exactly, so
+    every second node of a grid is, bit for bit, a node of the grid
+    before it.  Only the new (odd) nodes are run; the amplitudes of the
+    others are reused.  The engine's amplitudes do not depend on how
+    columns are batched, so the curve is bit-identical to running every
+    node of the final grid.
     """
     accels = np.atleast_1d(np.asarray(accels, dtype=np.float64))
-    density = 8.0
-    prev = None
-    while density <= max_density:
-        betas, weights = _beta_average_nodes(
-            n_kicks, phi_d, wavepacket, params, density
-        )
-        amps = batched_return_amplitudes(
+
+    def run(betas: np.ndarray) -> np.ndarray:
+        return batched_return_amplitudes(
             n_kicks,
             phi_d,
             params.talbot_time,
@@ -418,12 +426,34 @@ def gaussian_accel_curve(
             params,
             q_max,
         )
+
+    density = 8.0
+    prev = prev_betas = prev_amps = None
+    while density <= max_density:
+        betas, weights = _beta_average_nodes(
+            n_kicks, phi_d, wavepacket, params, density
+        )
+        # Node j of the grid -m..m sits at index j + m.  The new half-width
+        # is twice the previous one, or one less, so the even nodes are the
+        # previous grid without, in the second case, its two end nodes.
+        m = betas.size // 2
+        first_even = m % 2
+        amps = None
+        if prev_betas is not None:
+            drop = prev_betas.size // 2 - m // 2
+            kept = slice(drop, prev_betas.size - drop)
+            if np.array_equal(betas[first_even::2], prev_betas[kept]):
+                amps = np.empty((accels.size, betas.size), dtype=np.complex128)
+                amps[:, first_even::2] = prev_amps[:, kept]
+                amps[:, 1 - first_even :: 2] = run(betas[1 - first_even :: 2])
+        if amps is None:
+            amps = run(betas)
         vals = np.abs(amps @ weights) ** 2
         if prev is not None:
             drift = float(np.max(np.abs(vals - prev)))
             if drift <= tol * max(float(vals.max()), 1e-12):
                 return vals
-        prev = vals
+        prev, prev_betas, prev_amps = vals, betas, amps
         density *= 2.0
     raise ConvergenceError(
         f"ensemble average not stable to {tol:g} at grid density {max_density:g}",

@@ -110,6 +110,15 @@ def test_validation_failure_writes_no_files(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+def test_non_finite_config_values_are_rejected(tmp_path, capsys):
+    out = str(tmp_path / "echo.csv")
+    base = ("--set", "n_kicks=4", "--set", "phi_d=0.5", "--out", out)
+    for bad in ("beta=nan", "eps_ns=inf", "accel=-inf", "phi_d=nan", "sigma_x_um=inf"):
+        assert run_cli("echo", *base, "--set", bad) == 2
+        assert "must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_unknown_and_malformed_overrides(tmp_path, capsys):
     out = str(tmp_path / "echo.csv")
     base = ("--set", "n_kicks=4", "--set", "phi_d=0.5", "--out", out)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kickecho import finite_pulse
 from kickecho.analytic import fwhm_eps
 from kickecho.errors import GridResolutionError, TruncationError
 from kickecho.finite_pulse import (
@@ -28,6 +29,7 @@ from kickecho.ladder import (
     WavepacketSpec,
     _check_edges,
     auto_q_max,
+    gaussian_beta_nodes,
     ground_state,
     run_sequence,
 )
@@ -134,6 +136,28 @@ def test_gaussian_quadrature_matches_wide_grid(params):
     quad = finite_gaussian_output(spec, wp, params, tol=1e-6)
     grid = finite_wavepacket_grid_output(spec, wp, params)
     assert quad == pytest.approx(grid, abs=1e-7)
+
+
+def test_gaussian_output_mirrors_the_nonnegative_nodes(params, monkeypatch):
+    """Only the beta >= 0 Gauss-Hermite nodes are run; mirroring their
+    amplitudes matches running every node to 1e-12 relative."""
+    spec = FinitePulseSpec(8, v0_from_gamma(10.0, params), 1.2e-6, params.talbot_time)
+    wp = WavepacketSpec(sigma_x=5e-6)
+    seen = []
+
+    def spy(*args):
+        seen.append(np.asarray(args[4]))
+        return finite_return_amplitudes(*args)
+
+    monkeypatch.setattr(finite_pulse, "finite_return_amplitudes", spy)
+    folded = finite_gaussian_output(spec, wp, params)
+    assert len(seen) >= 2
+    assert all(b[0] == 0.0 and np.all(b[1:] > 0.0) for b in seen)
+    betas, weights = gaussian_beta_nodes(wp, params, 2 * seen[-1].size - 1)
+    amps = finite_return_amplitudes(
+        spec.n_pulses, spec.v0, spec.tau_p, spec.period, betas, params
+    )
+    assert folded == pytest.approx(abs(np.dot(weights, amps)) ** 2, rel=1e-12)
 
 
 def test_batched_outputs_match_scalar_runs(params):

@@ -8,12 +8,14 @@ else here is symmetry: unitarity, parity, time reversal, revival.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kickecho import ladder
 from kickecho.errors import TruncationError
 from kickecho.finite_pulse import delta_wavepacket_grid_output
 from kickecho.ladder import (
@@ -149,6 +151,75 @@ def test_batched_matches_scalar_runs(params):
             assert batched[i] == pytest.approx(single, rel=1e-12, abs=1e-15)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    n_kicks=st.integers(min_value=1, max_value=6),
+    phi_d=st.floats(min_value=0.0, max_value=1.5),
+    columns=st.lists(
+        st.tuples(
+            st.floats(min_value=-3e-9, max_value=3e-9),
+            st.floats(min_value=-0.5, max_value=0.5),
+            st.floats(min_value=-0.05, max_value=0.05),
+        ),
+        min_size=2,
+        max_size=12,
+    ),
+    block_columns=st.integers(min_value=1, max_value=5),
+)
+def test_blocked_batch_is_bit_identical_to_single_columns(
+    n_kicks, phi_d, columns, block_columns
+):
+    """Blocks of 1 to 5 columns, one column at a time and reversed order
+    all give the same bits: every column goes through the same operations
+    whatever block it lands in."""
+    from kickecho.params import rb85_params
+
+    params = rb85_params()
+    detunings, betas, accels = (np.array(c) for c in zip(*columns))
+    periods = params.talbot_time + detunings
+    sites = 2 * auto_q_max(n_kicks, phi_d) + 1
+    with mock.patch.object(ladder, "BLOCK_ENTRIES", block_columns * sites):
+        blocked = batched_return_amplitudes(
+            n_kicks, phi_d, periods, betas, accels, params
+        )
+    single = np.array([
+        batched_return_amplitudes(n_kicks, phi_d, t, b, a, params)[0]
+        for t, b, a in zip(periods, betas, accels)
+    ])
+    reversed_ = batched_return_amplitudes(
+        n_kicks, phi_d, periods[::-1], betas[::-1], accels[::-1], params
+    )[::-1]
+    assert np.array_equal(blocked, single)
+    assert np.array_equal(blocked, reversed_)
+
+
+def test_edge_violation_in_the_last_block_raises(params):
+    """Columns at beta = 0.25 stay near the origin (the free flights undo
+    the kicks pairwise), while the resonant beta = 0 column outgrows the
+    ladder; alone in the last block, it still fails the whole call."""
+    n_kicks, phi_d, q_max = 10, 1.5, 16
+    betas = np.array([0.25, 0.25, 0.25, 0.25, 0.0])
+    with mock.patch.object(ladder, "BLOCK_ENTRIES", 2 * (2 * q_max + 1)):
+        batched_return_amplitudes(
+            n_kicks, phi_d, params.talbot_time, betas[:-1], 0.0, params, q_max
+        )
+        with pytest.raises(TruncationError, match="edge-band population"):
+            batched_return_amplitudes(
+                n_kicks, phi_d, params.talbot_time, betas, 0.0, params, q_max
+            )
+
+
+def test_batched_rejects_non_finite_inputs(params):
+    t = params.talbot_time
+    for periods, betas, accels in (
+        ([t, math.inf], 0.0, 0.0),
+        (t, [0.0, math.nan], 0.0),
+        (t, 0.0, [0.0, -math.inf]),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            batched_return_amplitudes(4, 0.5, periods, betas, accels, params)
+
+
 def test_batched_accelerated_matches_scalar_up_to_global_phase(params):
     """The batched runner drops the q-independent a^2 t^3 action term; the
     scalar path keeps it.  Their return amplitudes must differ by exactly
@@ -265,6 +336,17 @@ def test_sequence_spec_validation(params):
         SequenceSpec(5, -0.1, params.talbot_time)
     with pytest.raises(ValueError):
         SequenceSpec(5, 0.5, 0.0)
+    for bad in (
+        dict(phi_d=math.nan),
+        dict(phi_d=math.inf),
+        dict(period=math.inf),
+        dict(period=math.nan),
+        dict(accel=math.inf),
+        dict(accel=math.nan),
+    ):
+        kwargs = {"n_kicks": 5, "phi_d": 0.5, "period": params.talbot_time, **bad}
+        with pytest.raises(ValueError, match="finite"):
+            SequenceSpec(**kwargs)
 
 
 def test_truncation_error_on_narrow_ladder(params):

@@ -12,12 +12,14 @@ from kickecho.errors import (
     MultimodalPeakError,
     PeakNotBracketedError,
 )
-from kickecho.ladder import SequenceSpec, WavepacketSpec
+from kickecho import scans
+from kickecho.ladder import SequenceSpec, WavepacketSpec, batched_return_amplitudes
 from kickecho.scans import (
     ScanCurve,
     extract_fwhm,
     find_tau_min,
     fit_scaling,
+    gaussian_accel_curve,
     gaussian_accel_scan,
     measure_peak_shift,
     scan,
@@ -97,6 +99,58 @@ def test_scan_is_bit_identical_across_workers(params):
     b = scan("eps", spec, params, n_points=65, workers=3)
     assert np.array_equal(a.output, b.output)
     assert a.fwhm == b.fwhm
+
+
+def test_scan_threads_are_capped_at_the_core_count(params, monkeypatch):
+    """A huge worker count starts no more threads than there are cores and
+    leaves the curve unchanged.  The fake pool runs its chunks in order on
+    the calling thread, so no thread is started."""
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(scans, "ThreadPoolExecutor", FakePool)
+    monkeypatch.setattr(scans.os, "cpu_count", lambda: 2)
+    spec = SequenceSpec(12, 0.6, params.talbot_time)
+    serial = scan("eps", spec, params, n_points=65, workers=1)
+    many = scan("eps", spec, params, n_points=65, workers=16)
+    assert pools == [2]
+    assert np.array_equal(serial.output, many.output)
+
+
+def test_accel_curve_runs_only_the_new_nodes(params, monkeypatch):
+    """Doubling the grid density reuses every even node: the second engine
+    call gets only the 80 odd nodes of the 161-node grid, and the curve is
+    bit-identical to running every node of the final grid at once."""
+    n_kicks, phi_d, wp = 10, 0.5, WavepacketSpec(sigma_x=1e-4)
+    accels = np.linspace(0.0, 2.0 * fwhm_accel(n_kicks, phi_d, params), 3)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(np.asarray(args[3]))
+        return batched_return_amplitudes(*args, **kwargs)
+
+    monkeypatch.setattr(scans, "batched_return_amplitudes", spy)
+    vals = gaussian_accel_curve(n_kicks, phi_d, accels, wp, params)
+    assert [b.shape for b in seen] == [(1, 81), (1, 80)]
+    betas, weights = scans._beta_average_nodes(n_kicks, phi_d, wp, params, 16.0)
+    assert np.array_equal(seen[1][0], betas[1::2])
+    assert np.array_equal(seen[0][0], betas[0::2])
+    amps = batched_return_amplitudes(
+        n_kicks, phi_d, params.talbot_time, betas[None, :], accels[:, None], params
+    )
+    assert np.array_equal(vals, np.abs(amps @ weights) ** 2)
 
 
 def test_scan_widens_a_too_narrow_window_once(params):
