@@ -62,7 +62,6 @@ from .finite_pulse import (
     apply_finite_pulse,
     auto_q_max_finite,
     finite_gaussian_output,
-    finite_outputs_batched,
     finite_return_amplitudes,
     pulse_propagator,
     run_finite_sequence,
@@ -84,7 +83,6 @@ from .ladder import (
     kick_kernel,
     momentum_history,
     run_sequence,
-    run_sequence_batched,
     run_train,
 )
 from .params import (
@@ -142,7 +140,6 @@ __all__ = [
     "apply_finite_pulse",
     "auto_q_max_finite",
     "finite_gaussian_output",
-    "finite_outputs_batched",
     "finite_return_amplitudes",
     "pulse_propagator",
     "run_finite_sequence",
@@ -162,7 +159,6 @@ __all__ = [
     "kick_kernel",
     "momentum_history",
     "run_sequence",
-    "run_sequence_batched",
     "run_train",
     "HBAR",
     "KickStrength",

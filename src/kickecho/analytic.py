@@ -254,14 +254,14 @@ def fwhm_eps(n_kicks: int, phi_d: float, params: PhysicalParams) -> float:
 
     Scales as 1/(N^3 phi_d^2).
     """
-    return (
-        2.0 * X_HALF * 6.0 * params.mass
-        / (n_kicks**3 * phi_d**2 * HBAR * params.kappa**2)
-    )
+    denominator = n_kicks**3 * phi_d**2 * HBAR * params.kappa**2
+    if not denominator > 0.0:
+        raise ValueError(f"phi_d = {phi_d!r} gives no finite timing width")
+    return 2.0 * X_HALF * 6.0 * params.mass / denominator
 
 
 def _half_crossing_angle(n_kicks: int, phi_d: float) -> float:
-    s = X_HALF / (2.0 * n_kicks * phi_d)
+    s = X_HALF / (2.0 * n_kicks * phi_d) if n_kicks * phi_d > 0.0 else math.inf
     if s > 1.0:
         raise ValueError(
             f"N*phi_d = {n_kicks * phi_d!r} too small: the closed-form response "

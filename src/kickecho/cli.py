@@ -19,7 +19,8 @@ import json
 import math
 import os
 import sys
-from typing import Any
+from collections.abc import Callable
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -67,8 +68,44 @@ _KIND_HELP = {
     "peak-shift": "timing-peak offset from integer resonance multiples",
 }
 
-# Kinds whose schema accepts scan window/points/worker keys.
-_SCAN_KINDS = ("scan-eps", "scan-p0", "scan-accel", "finite-scan")
+
+class _ScanKind(NamedTuple):
+    """How one scan kind maps onto scans.scan and its CSV and metrics."""
+
+    axis: str
+    column: str
+    # Metric keys of the measured width, the peak center and the width
+    # predicted by `predicted` (a function of n_kicks, phi_d, params).
+    metrics: tuple[str, str, str]
+    predicted: Callable[[int, float, PhysicalParams], float]
+    # Control-axis unit of the CSV, the window and the metrics, in SI.
+    unit: Callable[[PhysicalParams], float] = lambda params: 1.0
+
+
+_SCAN_TABLE = {
+    "scan-eps": _ScanKind(
+        "eps", "eps_s", ("fwhm_s", "peak_eps_s", "predicted_fwhm_s"), fwhm_eps
+    ),
+    "scan-p0": _ScanKind(
+        "p0",
+        "p0_hbar_kappa",
+        ("fwhm_p0_hbar_kappa", "peak_p0_hbar_kappa", "predicted_fwhm_p0_hbar_kappa"),
+        fwhm_p0,
+        lambda params: params.recoil_momentum,
+    ),
+    "scan-accel": _ScanKind(
+        "accel",
+        "accel_m_s2",
+        ("fwhm_m_s2", "peak_accel_m_s2", "predicted_point_fwhm_m_s2"),
+        fwhm_accel,
+    ),
+    "finite-scan": _ScanKind(
+        "eps",
+        "eps_s",
+        ("fwhm_s", "delta_eps_s", "predicted_delta_kick_fwhm_s"),
+        fwhm_eps,
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override one config key (repeatable)",
         )
-        if kind in _SCAN_KINDS:
+        if kind in _SCAN_TABLE:
             p.add_argument(
                 "--points", type=int, help="samples across the scan window"
             )
@@ -171,34 +208,34 @@ def _write_outputs(
     rows: list[list[Any]],
     sidecar: dict[str, Any],
 ) -> str:
-    """Serialize fully, then write; nothing is written if rendering fails."""
+    """Serialize fully, then write; nothing is left written if rendering or
+    either write fails."""
     csv_text = _render_csv(header, rows)
     json_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
     json_path = sidecar_path(out_path)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_text)
-    with open(json_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json_text)
+    try:
+        with open(json_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(json_text)
+    except OSError:
+        os.remove(out_path)
+        raise
     return json_path
 
 
-def _base_derived(params: PhysicalParams) -> dict[str, float]:
+def _derived(params: PhysicalParams, **extra: float) -> dict[str, float]:
+    """Sidecar constants of the medium, plus the run's own."""
     return {
         "talbot_time_s": params.talbot_time,
         "omega_r_rad_s": params.omega_r,
         "kappa_per_m": params.kappa,
+        **extra,
     }
 
 
-def _window(config: RunConfig, scale: float = 1.0) -> tuple[float, float] | None:
-    lo, hi = config.get("range_lo"), config.get("range_hi")
-    if lo is None:
-        return None
-    return (lo * scale, hi * scale)
-
-
 def _sequence_spec(config: RunConfig, params: PhysicalParams) -> SequenceSpec:
-    period = config["period_multiple"] * params.talbot_time
+    period = config.get("period_multiple", 1) * params.talbot_time
     period += config.get("eps_ns", 0.0) * 1e-9
     return SequenceSpec(
         n_kicks=config["n_kicks"],
@@ -225,9 +262,7 @@ def _run_echo(config: RunConfig):
         _, output = run_sequence(spec, config["beta"], params)
     header = ["eps_s", "beta", "accel_m_s2", "output_I"]
     rows = [[config["eps_ns"] * 1e-9, config["beta"], config["accel"], output]]
-    derived = _base_derived(params)
-    derived["phi_d"] = config["phi_d"]
-    return header, rows, derived, {"I": output}
+    return header, rows, _derived(params, phi_d=config["phi_d"]), {"I": output}
 
 
 def _run_momentum_history(config: RunConfig):
@@ -239,148 +274,61 @@ def _run_momentum_history(config: RunConfig):
         [kick + 1] + history[kick].tolist() for kick in range(history.shape[0])
     ]
     q0 = int(np.nonzero(q_values == 0)[0][0])
-    derived = _base_derived(params)
-    derived["phi_d"] = config["phi_d"]
     metrics = {
         "I": float(history[-1, q0]),
         "n_kicks_total": history.shape[0],
         "n_sites": int(q_values.size),
     }
-    return header, rows, derived, metrics
+    return header, rows, _derived(params, phi_d=config["phi_d"]), metrics
 
 
-def _run_scan_eps(config: RunConfig):
+def _run_scan(config: RunConfig):
+    kind = _SCAN_TABLE[config.kind]
     params = config.physical_params()
-    spec = SequenceSpec(
-        n_kicks=config["n_kicks"],
-        phi_d=config["phi_d"],
-        period=config["period_multiple"] * params.talbot_time,
-    )
-    curve = scan(
-        "eps",
-        spec,
-        params,
-        window=_window(config),
-        n_points=config["points"],
-        workers=config["workers"],
-    ).measured()
-    header = ["eps_s", "output_I"]
-    rows = [list(pair) for pair in zip(curve.control.tolist(), curve.output.tolist())]
-    derived = _base_derived(params)
-    derived["phi_d"] = config["phi_d"]
-    metrics = {
-        "fwhm_s": curve.fwhm,
-        "peak_eps_s": curve.peak_center,
-        "predicted_fwhm_s": fwhm_eps(config["n_kicks"], config["phi_d"], params),
-    }
-    return header, rows, derived, metrics
-
-
-def _run_scan_p0(config: RunConfig):
-    params = config.physical_params()
-    spec = SequenceSpec(
-        n_kicks=config["n_kicks"],
-        phi_d=config["phi_d"],
-        period=params.talbot_time,
-    )
-    hbar_kappa = params.recoil_momentum
-    curve = scan(
-        "p0",
-        spec,
-        params,
-        window=_window(config, scale=hbar_kappa),
-        n_points=config["points"],
-        workers=config["workers"],
-    ).measured()
-    header = ["p0_hbar_kappa", "output_I"]
-    rows = [
-        list(pair)
-        for pair in zip(
-            (curve.control / hbar_kappa).tolist(), curve.output.tolist()
+    unit = kind.unit(params)
+    lo, hi = config.get("range_lo"), config.get("range_hi")
+    window = None if lo is None else (lo * unit, hi * unit)
+    if config.kind == "finite-scan":
+        v0 = v0_from_gamma(config["gamma"], params)
+        spec = FinitePulseSpec(
+            n_pulses=config["n_kicks"],
+            v0=v0,
+            tau_p=config["tau_p_us"] * 1e-6,
+            period=config["period_multiple"] * params.talbot_time,
         )
-    ]
-    derived = _base_derived(params)
-    derived["phi_d"] = config["phi_d"]
-    metrics = {
-        "fwhm_p0_hbar_kappa": curve.fwhm / hbar_kappa,
-        "peak_p0_hbar_kappa": curve.peak_center / hbar_kappa,
-        "predicted_fwhm_p0_hbar_kappa": fwhm_p0(
-            config["n_kicks"], config["phi_d"], params
-        )
-        / hbar_kappa,
-    }
-    return header, rows, derived, metrics
-
-
-def _run_scan_accel(config: RunConfig):
-    params = config.physical_params()
+        derived = _derived(params, gamma=config["gamma"], v0_j=v0, phi_d=spec.phi_d)
+    else:
+        spec = _sequence_spec(config, params)
+        derived = _derived(params, phi_d=spec.phi_d)
     sigma_um = config.get("sigma_x_um")
     if sigma_um is not None:
         curve = gaussian_accel_scan(
             config["n_kicks"],
-            config["phi_d"],
+            spec.phi_d,
             WavepacketSpec(sigma_x=sigma_um * 1e-6),
             params,
-            window=_window(config),
+            window=window,
             n_points=config["points"],
-        ).measured()
-    else:
-        spec = SequenceSpec(
-            n_kicks=config["n_kicks"],
-            phi_d=config["phi_d"],
-            period=params.talbot_time,
         )
+    else:
         curve = scan(
-            "accel",
+            kind.axis,
             spec,
             params,
-            window=_window(config),
+            window=window,
             n_points=config["points"],
             workers=config["workers"],
-        ).measured()
-    header = ["accel_m_s2", "output_I"]
-    rows = [list(pair) for pair in zip(curve.control.tolist(), curve.output.tolist())]
-    derived = _base_derived(params)
-    derived["phi_d"] = config["phi_d"]
+        )
+    header = [kind.column, "output_I"]
+    rows = [
+        list(pair)
+        for pair in zip((curve.control / unit).tolist(), curve.output.tolist())
+    ]
+    width, peak, predicted = kind.metrics
     metrics = {
-        "fwhm_m_s2": curve.fwhm,
-        "peak_accel_m_s2": curve.peak_center,
-        "predicted_point_fwhm_m_s2": fwhm_accel(
-            config["n_kicks"], config["phi_d"], params
-        ),
-    }
-    return header, rows, derived, metrics
-
-
-def _run_finite_scan(config: RunConfig):
-    params = config.physical_params()
-    v0 = v0_from_gamma(config["gamma"], params)
-    spec = FinitePulseSpec(
-        n_pulses=config["n_kicks"],
-        v0=v0,
-        tau_p=config["tau_p_us"] * 1e-6,
-        period=config["period_multiple"] * params.talbot_time,
-    )
-    curve = scan(
-        "eps",
-        spec,
-        params,
-        window=_window(config),
-        n_points=config["points"],
-        workers=config["workers"],
-    ).measured()
-    header = ["eps_s", "output_I"]
-    rows = [list(pair) for pair in zip(curve.control.tolist(), curve.output.tolist())]
-    derived = _base_derived(params)
-    derived.update(
-        {"gamma": config["gamma"], "v0_j": v0, "phi_d": spec.phi_d}
-    )
-    metrics = {
-        "fwhm_s": curve.fwhm,
-        "delta_eps_s": curve.peak_center,
-        "predicted_delta_kick_fwhm_s": fwhm_eps(
-            config["n_kicks"], spec.phi_d, params
-        ),
+        width: curve.fwhm / unit,
+        peak: curve.peak_center / unit,
+        predicted: kind.predicted(config["n_kicks"], spec.phi_d, params) / unit,
     }
     return header, rows, derived, metrics
 
@@ -409,8 +357,7 @@ def _run_tau_min_sweep(config: RunConfig):
         rows.append(
             [n, gamma, tau_min, w_min, math.sqrt(gamma) * n, gamma * n]
         )
-    derived = _base_derived(params)
-    derived.update({"gamma": gamma, "v0_j": v0_from_gamma(gamma, params)})
+    derived = _derived(params, gamma=gamma, v0_j=v0_from_gamma(gamma, params))
     metrics = {
         "n_pulses": [row[0] for row in rows],
         "tau_min_s": [row[2] for row in rows],
@@ -458,7 +405,7 @@ def _run_fit_scaling(config: RunConfig):
         "residual": fit.residual,
         "n_points": len(points),
     }
-    return header, rows, _base_derived(params), metrics
+    return header, rows, _derived(params), metrics
 
 
 def _run_peak_shift(config: RunConfig):
@@ -472,10 +419,7 @@ def _run_peak_shift(config: RunConfig):
     header = ["multiple_l", "delta_eps_s"]
     rows = [[l + 1, shift] for l, shift in enumerate(shifts)]
     v0 = v0_from_gamma(gamma, params)
-    derived = _base_derived(params)
-    derived.update(
-        {"gamma": gamma, "v0_j": v0, "phi_d": v0 * tau_p / (2.0 * HBAR)}
-    )
+    derived = _derived(params, gamma=gamma, v0_j=v0, phi_d=v0 * tau_p / (2.0 * HBAR))
     metrics: dict[str, Any] = {"delta_eps_s": shifts}
     if len(shifts) >= 2 and shifts[0] != 0.0:
         metrics["rel_diff_l2_l1"] = abs(shifts[1] - shifts[0]) / abs(shifts[0])
@@ -485,10 +429,7 @@ def _run_peak_shift(config: RunConfig):
 _RUNNERS = {
     "echo": _run_echo,
     "momentum-history": _run_momentum_history,
-    "scan-eps": _run_scan_eps,
-    "scan-p0": _run_scan_p0,
-    "scan-accel": _run_scan_accel,
-    "finite-scan": _run_finite_scan,
+    **{kind: _run_scan for kind in _SCAN_TABLE},
     "tau-min-sweep": _run_tau_min_sweep,
     "fit-scaling": _run_fit_scaling,
     "peak-shift": _run_peak_shift,
@@ -498,6 +439,8 @@ _RUNNERS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if sidecar_path(args.out) == args.out:
+            raise ConfigError(f"--out {args.out!r} would be overwritten by its JSON sidecar")
         sources: list[dict[str, Any]] = []
         if args.config:
             sources.append(load_config_file(args.config))
@@ -513,17 +456,12 @@ def main(argv: list[str] | None = None) -> int:
             "metrics": metrics,
         }
         json_path = _write_outputs(args.out, header, rows, sidecar)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InsufficientSpanError as exc:
-        print(f"error: engine: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
-    except EngineError as exc:
+    except (EngineError, InsufficientSpanError) as exc:
         print(f"error: engine: {exc}", file=sys.stderr)
         return EXIT_ENGINE
     except ValueError as exc:
-        # Parameter combinations the engines reject are config mistakes.
+        # ConfigError, and the parameter combinations the engines reject,
+        # which are config mistakes too.
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -49,18 +49,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg, special
 
-from .errors import ConvergenceError, GridResolutionError, TruncationError
+from .errors import ConvergenceError, GridResolutionError
 from .ladder import (
     EDGE_BAND,
-    EDGE_TOL,
-    NORM_TOL,
     LadderState,
     WavepacketSpec,
     _check_edge_population,
     _check_edges,
+    _check_norm,
+    _check_norms,
     _convolve_kick,
+    _fiber_average,
     auto_q_max,
-    gaussian_beta_nodes,
     ground_state,
     kick_kernel,
 )
@@ -282,11 +282,7 @@ def run_finite_sequence(
             for _ in range(spec.n_pulses):
                 state = apply_finite_pulse(state, spec, sign, params, method)
                 state = LadderState(beta, q_max, state.amps * free_phase)
-    norm = state.norm()
-    if not (abs(norm - 1.0) <= NORM_TOL):
-        raise TruncationError(
-            f"norm drifted to {norm!r} over the finite-pulse sequence; ladder too narrow"
-        )
+    _check_norm(state, "finite-pulse sequence")
     return state, state.population(0)
 
 
@@ -372,35 +368,9 @@ def _folded_echo(
         band = np.abs(amps[edge]) ** 2 * edge_weight
         _check_edge_population(float(np.max(band)), q_max)
         amps *= free
-    norms = np.sum(np.abs(amps) ** 2, axis=0)
-    worst = float(np.max(np.abs(norms - 1.0)))
-    if not (worst <= NORM_TOL):
-        raise TruncationError(
-            f"norm drifted by {worst:.3e} in the batched finite-pulse run; "
-            "ladder too narrow"
-        )
+    _check_norms(amps, "in the batched finite-pulse run")
     parity = np.where(qs % 2 == 0, 1.0, -1.0)[:, None]
     return free[i0] * np.sum(parity * amps**2 / free, axis=0)
-
-
-def finite_outputs_batched(
-    n_pulses: int,
-    v0: float,
-    tau_p: float,
-    periods,
-    betas,
-    params: PhysicalParams,
-    q_max: int | None = None,
-) -> np.ndarray:
-    """Vectorized outputs |c_{q=0}|^2 over broadcast (periods, betas)."""
-    return (
-        np.abs(
-            finite_return_amplitudes(
-                n_pulses, v0, tau_p, periods, betas, params, q_max
-            )
-        )
-        ** 2
-    )
 
 
 def finite_gaussian_output(
@@ -419,23 +389,14 @@ def finite_gaussian_output(
     node count and mirror-symmetric nodes, so only the nodes with
     beta >= 0 are run and their amplitudes are mirrored onto the rest.
     """
-    prev = None
-    n = 33
-    while n <= max_nodes:
-        betas, weights = gaussian_beta_nodes(wavepacket, params, n)
+
+    def amplitudes(betas: np.ndarray) -> np.ndarray:
         half = finite_return_amplitudes(
-            spec.n_pulses, spec.v0, spec.tau_p, spec.period, betas[n // 2 :], params
+            spec.n_pulses, spec.v0, spec.tau_p, spec.period, betas[betas.size // 2 :], params
         )
-        amps = np.concatenate([half[:0:-1], half])
-        val = float(np.abs(np.dot(weights, amps)) ** 2)
-        if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-12):
-            return val
-        prev = val
-        n = 2 * n - 1
-    raise ConvergenceError(
-        f"fiber quadrature did not converge to {tol:g} within {max_nodes} nodes",
-        achieved=abs(val - prev) / max(abs(val), 1e-12),
-    )
+        return np.concatenate([half[:0:-1], half])
+
+    return _fiber_average(amplitudes, wavepacket, params, tol, max_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ ladder site, output = |c_{q=0}|^2.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,9 +93,7 @@ def ground_state(beta: float, q_max: int) -> LadderState:
     """State fully on rung q = 0 of the beta fiber."""
     if q_max < EDGE_BAND + 1:
         raise ValueError(f"q_max must be at least {EDGE_BAND + 1}, got {q_max}")
-    amps = np.zeros(2 * q_max + 1, dtype=np.complex128)
-    amps[q_max] = 1.0
-    return LadderState(beta=beta, q_max=q_max, amps=amps)
+    return basis_state(beta, q_max, 0)
 
 
 def basis_state(beta: float, q_max: int, q: int) -> LadderState:
@@ -189,6 +188,20 @@ def _check_edge_population(worst: float, q_max: int) -> None:
         )
 
 
+def _check_norm(state: LadderState, what: str) -> None:
+    """Norm gate on a final state; written so that NaN fails it."""
+    norm = state.norm()
+    if not (abs(norm - 1.0) <= NORM_TOL):
+        raise TruncationError(f"norm drifted to {norm!r} over the {what}; ladder too narrow")
+
+
+def _check_norms(amps: np.ndarray, where: str) -> None:
+    """Norm gate on every column of amps; written so that NaN fails it."""
+    worst = float(np.max(np.abs(np.sum(np.abs(amps) ** 2, axis=0) - 1.0)))
+    if not (worst <= NORM_TOL):
+        raise TruncationError(f"norm drifted by {worst:.3e} {where}; ladder too narrow")
+
+
 def apply_kick(state: LadderState, phi_d: float, sign: int = +1) -> LadderState:
     """One instantaneous kick exp(-i*sign*phi_d*cos(kappa x))."""
     out = _convolve_kick(state.amps, kick_kernel(phi_d, sign))
@@ -216,15 +229,28 @@ def apply_free_evolution_accelerated(
     ((q+beta)*hbar*kappa - m*a*t')^2 / (2m) over t' in [t_start, t_start+t]).
     The q-independent a^2 term is kept so amplitude phases are exact.
     """
+    phase = _accelerated_phase(state.q_values, state.beta, t, params, accel, t_start)
+    return LadderState(state.beta, state.q_max, state.amps * phase)
+
+
+def _accelerated_phase(
+    qs: np.ndarray,
+    beta: float,
+    t: float,
+    params: PhysicalParams,
+    accel: float,
+    t_start: float,
+) -> np.ndarray:
+    """exp(-(i/hbar) * action) per rung for free flight over [t_start, t_start+t]."""
     m = params.mass
-    p = (state.q_values + state.beta) * HBAR * params.kappa
+    p = (qs + beta) * HBAR * params.kappa
     t0, t1 = t_start, t_start + t
     action = (
         p**2 * t / (2.0 * m)
         - 0.5 * p * accel * (t1**2 - t0**2)
         + (m * accel**2 / 6.0) * (t1**3 - t0**3)
     )
-    return LadderState(state.beta, state.q_max, state.amps * np.exp(-1j * action / HBAR))
+    return np.exp(-1j * action / HBAR)
 
 
 @dataclass(frozen=True)
@@ -307,27 +333,8 @@ def run_sequence(
     Returns (final state, output) where output = |c_{q=0}|^2 is the
     probability of having returned to the initial momentum.
     """
-    if q_max is None:
-        q_max = auto_q_max(seq.n_kicks, seq.phi_d)
-    state = ground_state(beta, q_max)
-    state = run_train(
-        state, seq.n_kicks, seq.phi_d, +1, seq.period, params, seq.accel, 0.0
-    )
-    state = run_train(
-        state,
-        seq.n_kicks,
-        seq.phi_d,
-        -1,
-        seq.period,
-        params,
-        seq.accel,
-        seq.n_kicks * seq.period,
-    )
-    norm = state.norm()
-    if not (abs(norm - 1.0) <= NORM_TOL):
-        raise TruncationError(
-            f"norm drifted to {norm!r} over the sequence; ladder too narrow"
-        )
+    state = _run_both_trains(seq, beta, params, q_max)
+    _check_norm(state, "sequence")
     return state, state.population(0)
 
 
@@ -341,25 +348,28 @@ def momentum_history(
 
     Returns (q_values, history) with history.shape = (2*n_kicks, sites).
     """
+    record: list[np.ndarray] = []
+    state = _run_both_trains(seq, beta, params, q_max, record)
+    return state.q_values, np.array(record)
+
+
+def _run_both_trains(
+    seq: SequenceSpec,
+    beta: float,
+    params: PhysicalParams,
+    q_max: int | None,
+    record: list | None = None,
+) -> LadderState:
+    """The kick train of sign +1, then of sign -1, from the q = 0 rung."""
     if q_max is None:
         q_max = auto_q_max(seq.n_kicks, seq.phi_d)
     state = ground_state(beta, q_max)
-    record: list[np.ndarray] = []
-    state = run_train(
-        state, seq.n_kicks, seq.phi_d, +1, seq.period, params, seq.accel, 0.0, record
-    )
-    state = run_train(
-        state,
-        seq.n_kicks,
-        seq.phi_d,
-        -1,
-        seq.period,
-        params,
-        seq.accel,
-        seq.n_kicks * seq.period,
-        record,
-    )
-    return state.q_values, np.array(record)
+    for sign, t_offset in ((+1, 0.0), (-1, seq.n_kicks * seq.period)):
+        state = run_train(
+            state, seq.n_kicks, seq.phi_d, sign, seq.period, params,
+            seq.accel, t_offset, record,
+        )
+    return state
 
 
 def train_matrix(
@@ -384,18 +394,9 @@ def train_matrix(
     qs = np.arange(-q_max, q_max + 1)
     u = np.eye(2 * q_max + 1, dtype=np.complex128)
     kernel = kick_kernel(phi_d, sign)
-    m = params.mass
-    p = (qs + beta) * HBAR * params.kappa
     for n in range(n_kicks):
         u = _convolve_kick(u, kernel)
-        t0 = t_offset + n * period
-        t1 = t0 + period
-        action = (
-            p**2 * period / (2.0 * m)
-            - 0.5 * p * accel * (t1**2 - t0**2)
-            + (m * accel**2 / 6.0) * (t1**3 - t0**3)
-        )
-        u *= np.exp(-1j * action / HBAR)[:, None]
+        u *= _accelerated_phase(qs, beta, period, params, accel, t_offset + n * period)[:, None]
     return qs, u
 
 
@@ -487,33 +488,8 @@ def _run_block(
         amps *= interval_phase
         interval_phase *= step_sq
 
-    norms = np.sum(np.abs(amps) ** 2, axis=0)
-    worst = float(np.max(np.abs(norms - 1.0)))
-    if not (worst <= NORM_TOL):
-        raise TruncationError(
-            f"norm drifted by {worst:.3e} over the batched sequence; ladder too narrow"
-        )
+    _check_norms(amps, "over the batched sequence")
     return amps[q_max, :]
-
-
-def run_sequence_batched(
-    n_kicks: int,
-    phi_d: float,
-    periods,
-    betas,
-    accels,
-    params: PhysicalParams,
-    q_max: int | None = None,
-) -> np.ndarray:
-    """Vectorized outputs |c_{q=0}|^2 over broadcast (periods, betas, accels)."""
-    return (
-        np.abs(
-            batched_return_amplitudes(
-                n_kicks, phi_d, periods, betas, accels, params, q_max
-            )
-        )
-        ** 2
-    )
 
 
 @dataclass(frozen=True)
@@ -567,14 +543,35 @@ def gaussian_output(
     over the momentum density; the node count is doubled until the
     result changes by less than tol (relative), starting from 33 nodes.
     """
+    return _fiber_average(
+        lambda betas: batched_return_amplitudes(
+            seq.n_kicks, seq.phi_d, seq.period, betas, seq.accel, params, q_max
+        ),
+        wavepacket,
+        params,
+        tol,
+        max_nodes,
+    )
+
+
+def _fiber_average(
+    amplitudes: Callable[[np.ndarray], np.ndarray],
+    wavepacket: WavepacketSpec,
+    params: PhysicalParams,
+    tol: float,
+    max_nodes: int,
+) -> float:
+    """|sum_j w_j c_0(beta_j)|^2 over Gauss-Hermite nodes of the wavepacket.
+
+    amplitudes maps the node betas to the fiber return amplitudes.  The
+    node count starts at 33 and is doubled (2n - 1, so the count stays
+    odd) until the result changes by less than tol (relative).
+    """
     prev = None
     n = 33
     while n <= max_nodes:
         betas, weights = gaussian_beta_nodes(wavepacket, params, n)
-        amps = batched_return_amplitudes(
-            seq.n_kicks, seq.phi_d, seq.period, betas, seq.accel, params, q_max
-        )
-        val = float(np.abs(np.dot(weights, amps)) ** 2)
+        val = float(np.abs(np.dot(weights, amplitudes(betas))) ** 2)
         if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-12):
             return val
         prev = val

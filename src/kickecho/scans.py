@@ -14,8 +14,10 @@ bit-identical curves.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,13 +31,8 @@ from .errors import (
     NoInteriorMinimumError,
     PeakNotBracketedError,
 )
-from .finite_pulse import FinitePulseSpec, finite_outputs_batched
-from .ladder import (
-    SequenceSpec,
-    WavepacketSpec,
-    batched_return_amplitudes,
-    run_sequence_batched,
-)
+from .finite_pulse import FinitePulseSpec, finite_return_amplitudes
+from .ladder import SequenceSpec, WavepacketSpec, batched_return_amplitudes
 from .params import PhysicalParams, v0_from_gamma
 
 # Fractional slack allowed on the output range before validation fails;
@@ -85,6 +82,9 @@ class ScanCurve:
             raise ValueError("control and output must be 1-D arrays of equal length")
         if control.size < 5:
             raise ValueError(f"need at least 5 samples, got {control.size}")
+        # NaN passes every comparison below, so it is rejected first.
+        if not (np.all(np.isfinite(control)) and np.all(np.isfinite(output))):
+            raise ValueError("control and output samples must be finite")
         if np.any(np.diff(control) <= 0.0):
             raise ValueError("control samples must be strictly increasing")
         if np.any(output < -OUTPUT_RANGE_TOL) or np.any(output > 1.0 + OUTPUT_RANGE_TOL):
@@ -211,13 +211,14 @@ def extract_fwhm(curve: ScanCurve) -> tuple[float, float]:
     return right - left, center
 
 
-def _delta_outputs(
-    spec: SequenceSpec, params: PhysicalParams, axis: str, values: np.ndarray
+def _outputs(
+    spec: SequenceSpec | FinitePulseSpec,
+    params: PhysicalParams,
+    axis: str,
+    values: np.ndarray,
 ) -> np.ndarray:
-    """Evaluate the ideal-kick engine along one control axis."""
-    periods = spec.period
-    betas = 0.0
-    accels = spec.accel
+    """Outputs |c_{q=0}|^2 along one control axis, from the engine that spec selects."""
+    periods, betas, accels = spec.period, 0.0, spec.accel
     if axis == "eps":
         periods = spec.period + values
     elif axis == "p0":
@@ -226,28 +227,17 @@ def _delta_outputs(
         accels = values
     else:
         raise ValueError(f"unknown control axis {axis!r}")
-    return run_sequence_batched(
-        spec.n_kicks, spec.phi_d, periods, betas, accels, params
-    )
-
-
-def _finite_outputs(
-    spec: FinitePulseSpec, params: PhysicalParams, axis: str, values: np.ndarray
-) -> np.ndarray:
-    """Evaluate the finite-pulse engine along one control axis."""
-    periods = spec.period
-    betas = 0.0
-    if axis == "eps":
-        periods = spec.period + values
-    elif axis == "p0":
-        betas = values / params.recoil_momentum
+    if isinstance(spec, SequenceSpec):
+        amps = batched_return_amplitudes(
+            spec.n_kicks, spec.phi_d, periods, betas, accels, params
+        )
     elif axis == "accel":
         raise ValueError("finite-pulse sequences support zero acceleration only")
     else:
-        raise ValueError(f"unknown control axis {axis!r}")
-    return finite_outputs_batched(
-        spec.n_pulses, spec.v0, spec.tau_p, periods, betas, params
-    )
+        amps = finite_return_amplitudes(
+            spec.n_pulses, spec.v0, spec.tau_p, periods, betas, params
+        )
+    return np.abs(amps) ** 2
 
 
 def _auto_half_span(
@@ -276,13 +266,7 @@ def _evaluate(
     values: np.ndarray,
     workers: int,
 ) -> np.ndarray:
-    if isinstance(spec, FinitePulseSpec):
-        def run(chunk: np.ndarray) -> np.ndarray:
-            return _finite_outputs(spec, params, axis, chunk)
-    else:
-        def run(chunk: np.ndarray) -> np.ndarray:
-            return _delta_outputs(spec, params, axis, chunk)
-
+    run = functools.partial(_outputs, spec, params, axis)
     if workers <= 1 or values.size < 2 * workers:
         return run(values)
     # The chunks follow the worker count, so the curve does not depend on
@@ -343,19 +327,23 @@ def scan(
     if not hi > lo:
         raise ValueError(f"empty scan window ({lo!r}, {hi!r})")
 
-    for attempt in range(2):
+    def sample(lo: float, hi: float) -> ScanCurve:
         values = np.linspace(lo, hi, n_points)
-        output = _evaluate(spec, params, control_axis, values, workers)
-        curve = ScanCurve(values, output)
-        try:
-            return curve.measured()
-        except PeakNotBracketedError:
-            if attempt == 1:
-                raise
-            # Widen once about the window center, then give up.
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            lo, hi = mid - 4.0 * half, mid + 4.0 * half
-    raise AssertionError("unreachable")
+        return ScanCurve(values, _evaluate(spec, params, control_axis, values, workers))
+
+    return _measure_widening_once(sample, lo, hi)
+
+
+def _measure_widening_once(
+    sample: Callable[[float, float], ScanCurve], lo: float, hi: float
+) -> ScanCurve:
+    """Measure sample(lo, hi); if its peak is not bracketed, widen the
+    window fourfold about its center once and measure again."""
+    try:
+        return sample(lo, hi).measured()
+    except PeakNotBracketedError:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return sample(mid - 4.0 * half, mid + 4.0 * half).measured()
 
 
 def _beta_average_nodes(
@@ -491,20 +479,16 @@ def gaussian_accel_scan(
                 f"zero, got ({lo!r}, {hi!r})"
             )
         half = hi
-    for attempt in range(2):
-        pos = np.linspace(0.0, half, n_points // 2 + 1)
-        vals = gaussian_accel_curve(
-            n_kicks, phi_d, pos, wavepacket, params, tol
+
+    def sample(lo: float, hi: float) -> ScanCurve:
+        # The window stays symmetric through the widening, so lo == -hi.
+        pos = np.linspace(0.0, hi, n_points // 2 + 1)
+        vals = gaussian_accel_curve(n_kicks, phi_d, pos, wavepacket, params, tol)
+        return ScanCurve(
+            np.concatenate([-pos[:0:-1], pos]), np.concatenate([vals[:0:-1], vals])
         )
-        control = np.concatenate([-pos[:0:-1], pos])
-        output = np.concatenate([vals[:0:-1], vals])
-        try:
-            return ScanCurve(control, output).measured()
-        except PeakNotBracketedError:
-            if attempt == 1:
-                raise
-            half *= 4.0
-    raise AssertionError("unreachable")
+
+    return _measure_widening_once(sample, -half, half)
 
 
 # A timing curve whose largest sample falls below this has no echo peak
@@ -544,7 +528,7 @@ def _finite_width(
     zooms = 0
     for _ in range(16):
         values = np.linspace(-0.5 * span, 0.5 * span, n_points)
-        output = _finite_outputs(spec, params, "eps", values)
+        output = _outputs(spec, params, "eps", values)
         if float(np.max(output)) < NO_PEAK_FLOOR:
             raise PeakNotBracketedError(
                 f"output stays below {NO_PEAK_FLOOR} across the window for "
@@ -677,6 +661,8 @@ def fit_scaling(
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (n, value) pairs")
     n, value = pts[:, 0], pts[:, 1]
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("power-law fit needs finite n and value")
     if np.any(n <= 0.0) or np.any(value <= 0.0):
         raise ValueError("power-law fit needs positive n and value")
     if np.unique(n).size < 4:
@@ -734,7 +720,7 @@ def measure_peak_shift(
     center = multiple_l * t_t
     spec = FinitePulseSpec(n_pulses=n_pulses, v0=v0, tau_p=tau_p, period=center)
     offsets = np.linspace(-0.75 * w_ref, 0.75 * w_ref, n_points)
-    output = _finite_outputs(spec, params, "eps", offsets)
+    output = _outputs(spec, params, "eps", offsets)
 
     i_max = int(np.argmax(output))
     if i_max == 0 or i_max == output.size - 1:

@@ -233,6 +233,13 @@ def test_fwhm_p0_rejects_weak_sequences(params):
     # N*phi_d too small: the sine argument cannot reach the half point.
     with pytest.raises(ValueError):
         fwhm_p0(1, 0.25, params)
+    # No kicks at all, or kicks so weak that the timing width overflows,
+    # raise ValueError rather than ZeroDivisionError.
+    for formula in (fwhm_p0, fwhm_accel, fwhm_eps):
+        with pytest.raises(ValueError):
+            formula(4, 0.0, params)
+    with pytest.raises(ValueError):
+        fwhm_eps(4, 1e-170, params)
 
 
 def test_first_order_eps_matches_ladder_in_validity_tiers(params):

@@ -3,9 +3,16 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from kickecho.analytic import fwhm_accel, fwhm_eps, fwhm_p0
 from kickecho.cli import main, sidecar_path
+from kickecho.config import resolve
+from kickecho.finite_pulse import FinitePulseSpec
+from kickecho.ladder import SequenceSpec, WavepacketSpec
+from kickecho.params import v0_from_gamma
+from kickecho.scans import gaussian_accel_scan, scan
 
 
 def run_cli(*argv):
@@ -108,6 +115,11 @@ def test_validation_failure_writes_no_files(tmp_path, capsys):
     assert not os.path.exists(out)
     assert not os.path.exists(sidecar_path(out))
     assert capsys.readouterr().err.startswith("error: config:")
+    # An output path its own sidecar would overwrite is a config error.
+    out = str(tmp_path / "echo.json")
+    assert run_cli("echo", "--set", "n_kicks=4", "--set", "phi_d=0.5", "--out", out) == 2
+    assert "sidecar" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_non_finite_config_values_are_rejected(tmp_path, capsys):
@@ -152,6 +164,13 @@ def test_io_failure_exit_code(tmp_path, capsys):
     code = run_cli("echo", "--set", "n_kicks=4", "--set", "phi_d=0.5", "--out", out)
     assert code == 4
     assert capsys.readouterr().err.startswith("error: io:")
+    # A sidecar that cannot be written takes its CSV with it.
+    (tmp_path / "echo.json").mkdir()
+    out = str(tmp_path / "echo.csv")
+    code = run_cli("echo", "--set", "n_kicks=4", "--set", "phi_d=0.5", "--out", out)
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: io:")
+    assert sorted(os.listdir(tmp_path)) == ["echo.json"]
 
 
 def test_gaussian_echo_requires_zero_beta(tmp_path):
@@ -255,3 +274,77 @@ def test_fit_scaling_recovers_synthetic_law(tmp_path):
     side = json.load(open(sidecar_path(out)))
     assert side["metrics"]["exponent"] == pytest.approx(-2.0, abs=1e-10)
     assert side["metrics"]["prefactor"] == pytest.approx(33.0, rel=1e-10)
+
+
+def _read_columns(path):
+    lines = open(path, encoding="utf-8").read().splitlines()
+    values = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+    return lines[0].split(","), values[:, 0], values[:, 1]
+
+
+def test_scan_kinds_match_direct_library_calls(tmp_path):
+    """Each scan kind writes exactly the curve, metrics and kick strength of
+    the library call it stands for, bit for bit; launch momenta in units of
+    hbar kappa."""
+    params = resolve("scan-eps", {"n_kicks": 1, "phi_d": 1.0}).physical_params()
+    hk = params.recoil_momentum
+    delta = ("--set", "n_kicks=12", "--set", "phi_d=0.7", "--points", "33")
+    seq = SequenceSpec(12, 0.7, params.talbot_time)
+    seq2 = SequenceSpec(12, 0.7, 2 * params.talbot_time)
+    finite = FinitePulseSpec(8, v0_from_gamma(10.0, params), 2.0 * 1e-6, 2 * params.talbot_time)
+    wp = WavepacketSpec(sigma_x=100.0 * 1e-6)
+    accel_keys = ("accel_m_s2", "fwhm_m_s2", "peak_accel_m_s2", "predicted_point_fwhm_m_s2")
+    cases = [
+        (
+            ["scan-eps", *delta, "--parallel", "2", "--set", "period_multiple=2"],
+            scan("eps", seq2, params, n_points=33, workers=2),
+            seq2,
+            1.0,
+            ("eps_s", "fwhm_s", "peak_eps_s", "predicted_fwhm_s"),
+            fwhm_eps,
+        ),
+        (
+            ["scan-p0", *delta, "--range=-0.01:0.012"],
+            scan("p0", seq, params, window=(-0.01 * hk, 0.012 * hk), n_points=33),
+            seq,
+            hk,
+            ("p0_hbar_kappa", "fwhm_p0_hbar_kappa", "peak_p0_hbar_kappa",
+             "predicted_fwhm_p0_hbar_kappa"),
+            fwhm_p0,
+        ),
+        (["scan-accel", *delta], scan("accel", seq, params, n_points=33), seq, 1.0,
+         accel_keys, fwhm_accel),
+        (
+            ["scan-accel", *delta, "--set", "sigma_x_um=100"],
+            gaussian_accel_scan(12, 0.7, wp, params, n_points=33),
+            seq,
+            1.0,
+            accel_keys,
+            fwhm_accel,
+        ),
+        (
+            ["finite-scan", "--set", "n_kicks=8", "--set", "gamma=10", "--set", "tau_p_us=2",
+             "--set", "period_multiple=2", "--points", "33"],
+            scan("eps", finite, params, n_points=33),
+            finite,
+            1.0,
+            ("eps_s", "fwhm_s", "delta_eps_s", "predicted_delta_kick_fwhm_s"),
+            fwhm_eps,
+        ),
+    ]
+    for i, (argv, curve, spec, unit, keys, predicted) in enumerate(cases):
+        out = str(tmp_path / f"scan{i}.csv")
+        assert run_cli(*argv, "--out", out) == 0
+        header, control, output = _read_columns(out)
+        column, width, peak, predicted_width = keys
+        assert header == [column, "output_I"]
+        assert np.array_equal(control, curve.control / unit)
+        assert np.array_equal(output, curve.output)
+        side = json.load(open(sidecar_path(out)))
+        n = spec.n_pulses if isinstance(spec, FinitePulseSpec) else spec.n_kicks
+        assert side["metrics"] == {
+            width: curve.fwhm / unit,
+            peak: curve.peak_center / unit,
+            predicted_width: predicted(n, spec.phi_d, params) / unit,
+        }
+        assert side["derived"]["phi_d"] == spec.phi_d

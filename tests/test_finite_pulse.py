@@ -16,7 +16,6 @@ from kickecho.finite_pulse import (
     apply_finite_pulse,
     auto_q_max_finite,
     finite_gaussian_output,
-    finite_outputs_batched,
     finite_return_amplitudes,
     finite_wavepacket_grid_output,
     pulse_propagator,
@@ -163,7 +162,7 @@ def test_gaussian_output_mirrors_the_nonnegative_nodes(params, monkeypatch):
 def test_batched_outputs_match_scalar_runs(params):
     periods = params.talbot_time + np.array([-2e-9, 0.0, 3e-9])
     spec_args = (3, v0_from_gamma(4.0, params), 1.5e-6)
-    batched = finite_outputs_batched(*spec_args, periods, 0.1, params)
+    batched = np.abs(finite_return_amplitudes(*spec_args, periods, 0.1, params)) ** 2
     for period, want in zip(periods, batched):
         spec = FinitePulseSpec(*spec_args, float(period))
         _, val = run_finite_sequence(spec, 0.1, params)
@@ -249,7 +248,7 @@ def test_sign_and_method_validation(params):
     with pytest.raises(ValueError):
         apply_finite_pulse(st, spec, +1, params, method="magic")
     with pytest.raises(ValueError):
-        finite_outputs_batched(2, 1e-29, 2e-6, 1e-6, 0.0, params)  # period < tau_p
+        finite_return_amplitudes(2, 1e-29, 2e-6, 1e-6, 0.0, params)  # period < tau_p
 
 
 def test_grid_too_coarse_is_rejected(params):

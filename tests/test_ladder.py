@@ -34,7 +34,6 @@ from kickecho.ladder import (
     kick_kernel,
     momentum_history,
     run_sequence,
-    run_sequence_batched,
     train_matrix,
 )
 from kickecho.params import HBAR
@@ -141,9 +140,9 @@ def test_batched_matches_scalar_runs(params):
     periods = params.talbot_time + np.array([-2e-9, 0.0, 1.5e-9])
     betas = np.array([0.0, 0.05, -0.3])
     for beta in betas:
-        batched = run_sequence_batched(
-            n_kicks, phi_d, periods, beta, 0.0, params
-        )
+        batched = np.abs(
+            batched_return_amplitudes(n_kicks, phi_d, periods, beta, 0.0, params)
+        ) ** 2
         for i, period in enumerate(periods):
             _, single = run_sequence(
                 SequenceSpec(n_kicks, phi_d, period), beta, params

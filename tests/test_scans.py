@@ -67,6 +67,21 @@ def test_scan_curve_validation():
         ScanCurve(x[::-1], np.zeros(33))
     with pytest.raises(ValueError):
         ScanCurve(x, np.full(33, 1.5))
+    # Non-finite samples fail closed; NaN passes the range and order checks.
+    peak = np.exp(-((x - 0.5) ** 2) / 0.01)
+    for bad in (math.nan, math.inf, -math.inf):
+        y = peak.copy()
+        y[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ScanCurve(x, y)
+        xs = x.copy()
+        xs[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ScanCurve(xs, peak)
+    xs = x.copy()
+    xs[-1] = math.inf
+    with pytest.raises(ValueError, match="finite"):
+        ScanCurve(xs, peak)
     # A rounding-level excursion past 1 is clipped, not rejected.
     y = np.full(33, 0.5)
     y[3] = 1.0 + 1e-12
@@ -154,12 +169,33 @@ def test_accel_curve_runs_only_the_new_nodes(params, monkeypatch):
 
 
 def test_scan_widens_a_too_narrow_window_once(params):
+    """Both scans widen an unbracketing window fourfold about its center,
+    once: the result equals a scan of the widened window bit for bit, and
+    a window that is still too narrow after that fails."""
     spec = SequenceSpec(20, 0.5, params.talbot_time)
     w = fwhm_eps(20, 0.5, params)
     c = scan("eps", spec, params, window=(-w / 4.0, w / 4.0), n_points=65)
     assert c.fwhm == pytest.approx(w, rel=2e-2)
+    direct = scan("eps", spec, params, window=(-w, w), n_points=65)
+    assert np.array_equal(c.control, direct.control)
+    assert np.array_equal(c.output, direct.output)
+    # An off-center window widens about its own center.
+    c = scan("eps", spec, params, window=(-w / 8.0, w / 4.0), n_points=65)
+    assert c.control[0] == pytest.approx(w / 16.0 - 0.75 * w, rel=1e-12)
+    assert c.control[-1] == pytest.approx(w / 16.0 + 0.75 * w, rel=1e-12)
     with pytest.raises(PeakNotBracketedError):
         scan("eps", spec, params, window=(-w / 200.0, w / 200.0), n_points=65)
+
+    wp = WavepacketSpec(sigma_x=1e-4)
+    a = fwhm_accel(10, 0.5, params)
+    g = gaussian_accel_scan(10, 0.5, wp, params, window=(-a / 4.0, a / 4.0), n_points=33)
+    assert g.fwhm == pytest.approx(a, rel=2e-2)
+    direct = gaussian_accel_scan(10, 0.5, wp, params, window=(-a, a), n_points=33)
+    assert np.array_equal(g.control, direct.control)
+    assert np.array_equal(g.output, direct.output)
+    assert g.fwhm == direct.fwhm
+    with pytest.raises(PeakNotBracketedError):
+        gaussian_accel_scan(10, 0.5, wp, params, window=(-a / 200.0, a / 200.0), n_points=33)
 
 
 def test_scan_argument_validation(params):
@@ -194,6 +230,11 @@ def test_fit_scaling_span_requirements():
         fit_scaling([(8.0, 1.0), (16.0, -0.5), (32.0, 0.25), (80.0, 0.1)])
     with pytest.raises(ValueError):
         fit_scaling(np.ones((4, 3)))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_scaling([(8.0, 1.0), (16.0, bad), (32.0, 0.25), (80.0, 0.1)])
+        with pytest.raises(ValueError, match="finite"):
+            fit_scaling([(8.0, 1.0), (16.0, 0.5), (32.0, 0.25), (bad, 0.1)])
 
 
 def test_find_tau_min_is_coarse_grid_independent(params):
