@@ -78,6 +78,7 @@ from .ladder import (
     auto_q_max,
     basis_state,
     batched_return_amplitudes,
+    folded_return_amplitudes,
     gaussian_output,
     ground_state,
     kick_kernel,
@@ -154,6 +155,7 @@ __all__ = [
     "auto_q_max",
     "basis_state",
     "batched_return_amplitudes",
+    "folded_return_amplitudes",
     "gaussian_output",
     "ground_state",
     "kick_kernel",

@@ -17,6 +17,33 @@ The interferometer sequence is N kicks of one sign followed by N kicks of the
 opposite sign (a phase-reversed train), each kick followed by one free
 flight.  Its figure of merit is the probability of returning to the initial
 ladder site, output = |c_{q=0}|^2.
+
+Echo folding.  At zero acceleration the reversed train follows from the
+forward one.  The truncated kick matrix K+ is complex-symmetric Toeplitz
+(w[d] = w[-d]), and the reversed kick is K- = P K+ P with
+P = diag((-1)^q); the free flight F = diag(F_q) commutes with P.  With
+c = (F K+)^n e_0 the forward state, transposing (F K+)^n = F (K+ F)^n F^-1
+gives
+
+    c_0(final) = e_0^T P (F K+)^n P c = F_0 * sum_q (-1)^q c_q^2 / F_q,
+
+exactly on the truncated ladder, for any beta and period: the
+time-reversal structure of the Loschmidt echo (Peres, Phys. Rev. A 30,
+1610 (1984)), as in the finite-pulse engine.  At beta = 0 the state stays
+even in q, so folded_return_amplitudes runs those columns on the even
+sector q = 0 .. q_max.  Mirrored rows c_D .. c_1 ahead of c_0, D the
+kernel half-width (at most q_max), keep the kick a plain convolution;
+there the norm is |c_0|^2 + 2 sum_{q>=1} |c_q|^2.  scan-eps (beta = 0)
+runs on the even sector and scan-p0 on the folded full ladder.
+Accelerated columns, the Gaussian fiber averages (gaussian_output and the
+acceleration curves), run_sequence and momentum_history keep both
+trains: run_sequence is the independent reference, and the folded run
+gates only the forward train, so it can pass where the reversed train
+fails the edge gate.  That happens to the N = 40, phi_d = 0.5,
+sigma_x = 100 um Gaussian echo, which exits 3 on two trains; its folded
+65-node rule returns I = 0.0751.  The benchmark keeps that echo as an
+operation that must exit 3, so the Gaussian path stays on two trains
+until the fiber quadrature and that operation change together.
 """
 
 from __future__ import annotations
@@ -400,6 +427,21 @@ def train_matrix(
     return qs, u
 
 
+def _flat_columns(what: str, periods, *rest) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """Broadcast the per-column inputs of a delta-kick engine and flatten
+    them; returns (broadcast shape, flat arrays).  Non-finite values and
+    non-positive periods raise ValueError."""
+    arrays = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (periods, *rest))
+    )
+    flat = [a.ravel() for a in arrays]
+    if not all(np.isfinite(a).all() for a in flat):
+        raise ValueError(f"{what} must all be finite")
+    if np.any(flat[0] <= 0.0):
+        raise ValueError("all periods must be positive")
+    return arrays[0].shape, flat
+
+
 def batched_return_amplitudes(
     n_kicks: int,
     phi_d: float,
@@ -428,20 +470,9 @@ def batched_return_amplitudes(
     the worst value within the failing block.  Non-finite inputs raise
     ValueError.
     """
-    periods_b, betas_b, accels_b = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(periods, dtype=float)),
-        np.atleast_1d(np.asarray(betas, dtype=float)),
-        np.atleast_1d(np.asarray(accels, dtype=float)),
+    shape, (t, bet, acc) = _flat_columns(
+        "periods, betas and accels", periods, betas, accels
     )
-    shape = periods_b.shape
-    t = periods_b.ravel()
-    bet = betas_b.ravel()
-    acc = accels_b.ravel()
-    if not (np.isfinite(t).all() and np.isfinite(bet).all() and np.isfinite(acc).all()):
-        raise ValueError("periods, betas and accels must all be finite")
-    if np.any(t <= 0.0):
-        raise ValueError("all periods must be positive")
-
     if q_max is None:
         q_max = auto_q_max(n_kicks, phi_d)
     qs = np.arange(-q_max, q_max + 1)
@@ -490,6 +521,97 @@ def _run_block(
 
     _check_norms(amps, "over the batched sequence")
     return amps[q_max, :]
+
+
+def folded_return_amplitudes(
+    n_kicks: int,
+    phi_d: float,
+    periods,
+    betas,
+    params: PhysicalParams,
+    q_max: int | None = None,
+) -> np.ndarray:
+    """Zero-acceleration return amplitudes from the forward train alone.
+
+    Returns c_{q=0} of the full echo with the broadcast shape of (periods,
+    betas), folded from the state c after the n_kicks forward periods:
+    c_0 = F_0 * sum_q (-1)^q c_q^2 / F_q, F the free-flight phases of the
+    column (module docstring).  Columns with beta = 0 run on the even
+    sector q = 0 .. q_max.  The amplitudes agree with
+    batched_return_amplitudes and run_sequence to rounding.
+
+    As in batched_return_amplitudes, columns run in blocks of about
+    BLOCK_ENTRIES sites x columns, and a column's amplitude is
+    bit-identical however the columns are batched, ordered or split: the
+    sum over sites is a fixed-order loop over rows.  The edge gate runs
+    after every kick and the norm gate on the forward state of every
+    block.  Non-finite inputs raise ValueError.
+    """
+    shape, (t, bet) = _flat_columns("periods and betas", periods, betas)
+    if q_max is None:
+        q_max = auto_q_max(n_kicks, phi_d)
+    kernel = kick_kernel(phi_d, +1)
+    # The even sector holds min(D, q_max) mirrored rows c_D .. c_1 ahead of
+    # c_0 .. c_q_max, D the kernel half-width: every row below q = 0 that
+    # the kick reads.
+    lead = min((len(kernel) - 1) // 2, q_max)
+    out = np.empty(t.size, dtype=np.complex128)
+    for even in (True, False):
+        cols = np.nonzero((bet == 0.0) == even)[0]
+        qs = np.arange(-lead if even else -q_max, q_max + 1)
+        width = max(1, BLOCK_ENTRIES // qs.size)
+        for lo in range(0, cols.size, width):
+            block = cols[lo : lo + width]
+            out[block] = _fold_block(n_kicks, kernel, t[block], bet[block], qs, even, params)
+    return out.reshape(shape)
+
+
+def _fold_block(
+    n_kicks: int,
+    kernel: np.ndarray,
+    t: np.ndarray,
+    bet: np.ndarray,
+    qs: np.ndarray,
+    even: bool,
+    params: PhysicalParams,
+) -> np.ndarray:
+    """Folded return amplitudes of one block of columns of
+    folded_return_amplitudes; rows qs, from -lead on the even sector."""
+    q_max = int(qs[-1])
+    i0 = -int(qs[0])
+    free = np.exp(
+        -2j * math.pi * (t / params.talbot_time)[None, :] * (qs[:, None] + bet[None, :]) ** 2
+    )
+    amps = np.zeros((qs.size, t.size), dtype=np.complex128)
+    amps[i0, :] = 1.0
+    out = np.empty_like(amps)
+    tmp = np.empty_like(amps)
+    for _ in range(n_kicks):
+        _convolve_kick(amps, kernel, out, tmp)
+        amps, out = out, amps
+        if even:
+            amps[:i0] = amps[2 * i0 : i0 : -1]
+            _check_edge_population(float(np.abs(amps[-EDGE_BAND:]).max() ** 2), q_max)
+        else:
+            _check_edges(amps, q_max)
+        amps *= free
+
+    # Row weights of the fold: the parity (-1)^q, doubled on an even-sector
+    # row q >= 1, which stands for the rungs +q and -q.
+    first = i0 if even else 0
+    weight = np.where(qs[first:] % 2 == 0, 1.0, -1.0)
+    if even:
+        weight[1:] *= 2.0
+    _check_norms(amps[first:] * np.sqrt(np.abs(weight))[:, None], "over the forward train")
+    terms = amps[first:] ** 2
+    terms /= free[first:]
+    terms *= weight[:, None]
+    # A fixed-order sum: np.sum switches to pairwise summation on a
+    # one-column block, which would make the bits depend on the batching.
+    total = terms[0].copy()
+    for row in terms[1:]:
+        total += row
+    return free[i0] * total
 
 
 @dataclass(frozen=True)
@@ -565,8 +687,11 @@ def _fiber_average(
 
     amplitudes maps the node betas to the fiber return amplitudes.  The
     node count starts at 33 and is doubled (2n - 1, so the count stays
-    odd) until the result changes by less than tol (relative).
+    odd) until the result changes by less than tol (relative), so a cap
+    below 65 nodes could never converge and raises ValueError.
     """
+    if max_nodes < 65:
+        raise ValueError(f"max_nodes must be at least 65, got {max_nodes!r}")
     prev = None
     n = 33
     while n <= max_nodes:

@@ -32,7 +32,12 @@ from .errors import (
     PeakNotBracketedError,
 )
 from .finite_pulse import FinitePulseSpec, finite_return_amplitudes
-from .ladder import SequenceSpec, WavepacketSpec, batched_return_amplitudes
+from .ladder import (
+    SequenceSpec,
+    WavepacketSpec,
+    batched_return_amplitudes,
+    folded_return_amplitudes,
+)
 from .params import PhysicalParams, v0_from_gamma
 
 # Fractional slack allowed on the output range before validation fails;
@@ -217,7 +222,9 @@ def _outputs(
     axis: str,
     values: np.ndarray,
 ) -> np.ndarray:
-    """Outputs |c_{q=0}|^2 along one control axis, from the engine that spec selects."""
+    """Outputs |c_{q=0}|^2 along one control axis, from the engine that spec
+    selects; delta-kick scans at zero acceleration fold the echo onto its
+    forward train."""
     periods, betas, accels = spec.period, 0.0, spec.accel
     if axis == "eps":
         periods = spec.period + values
@@ -227,7 +234,9 @@ def _outputs(
         accels = values
     else:
         raise ValueError(f"unknown control axis {axis!r}")
-    if isinstance(spec, SequenceSpec):
+    if isinstance(spec, SequenceSpec) and axis != "accel" and spec.accel == 0.0:
+        amps = folded_return_amplitudes(spec.n_kicks, spec.phi_d, periods, betas, params)
+    elif isinstance(spec, SequenceSpec):
         amps = batched_return_amplitudes(
             spec.n_kicks, spec.phi_d, periods, betas, accels, params
         )
@@ -402,6 +411,10 @@ def gaussian_accel_curve(
     columns are batched, so the curve is bit-identical to running every
     node of the final grid.
     """
+    if max_density < 16.0:
+        raise ValueError(
+            f"max_density must be at least 16 (two grids to compare), got {max_density!r}"
+        )
     accels = np.atleast_1d(np.asarray(accels, dtype=np.float64))
 
     def run(betas: np.ndarray) -> np.ndarray:

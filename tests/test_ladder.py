@@ -29,6 +29,7 @@ from kickecho.ladder import (
     auto_q_max,
     basis_state,
     batched_return_amplitudes,
+    folded_return_amplitudes,
     gaussian_output,
     ground_state,
     kick_kernel,
@@ -217,6 +218,80 @@ def test_batched_rejects_non_finite_inputs(params):
     ):
         with pytest.raises(ValueError, match="finite"):
             batched_return_amplitudes(4, 0.5, periods, betas, accels, params)
+    for periods, betas in (([t, math.inf], 0.0), (t, [0.0, math.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            folded_return_amplitudes(4, 0.5, periods, betas, params)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_kicks=st.integers(min_value=1, max_value=24),
+    phi_d=st.floats(min_value=0.0, max_value=1.5),
+    detunings=st.lists(
+        st.floats(min_value=-3e-9, max_value=3e-9), min_size=1, max_size=3
+    ),
+    beta=st.one_of(st.just(0.0), st.floats(min_value=-0.5, max_value=0.5)),
+)
+def test_folded_echo_matches_two_train_run(params, n_kicks, phi_d, detunings, beta):
+    """Time reversal (any beta) and parity (beta = 0, even sector) fold the
+    echo onto its forward kicks; the folded return amplitudes equal those
+    of the full two-train run, phases included."""
+    periods = params.talbot_time + np.array(detunings)
+    folded = folded_return_amplitudes(n_kicks, phi_d, periods, beta, params)
+    for period, amp in zip(periods, folded):
+        state, _ = run_sequence(SequenceSpec(n_kicks, phi_d, float(period)), beta, params)
+        assert abs(amp - state.amplitude(0)) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_kicks=st.integers(min_value=1, max_value=6),
+    phi_d=st.floats(min_value=0.0, max_value=1.5),
+    columns=st.lists(
+        st.tuples(
+            st.floats(min_value=-3e-9, max_value=3e-9),
+            st.one_of(st.just(0.0), st.floats(min_value=-0.5, max_value=0.5)),
+        ),
+        min_size=2,
+        max_size=12,
+    ),
+    block_columns=st.integers(min_value=1, max_value=5),
+)
+def test_folded_batch_is_bit_identical_to_single_columns(
+    params, n_kicks, phi_d, columns, block_columns
+):
+    """Both sectors of the folded engine give the same bits in blocks of
+    1 to 5 columns, one column at a time and in reversed order."""
+    detunings, betas = (np.array(c) for c in zip(*columns))
+    periods = params.talbot_time + detunings
+    q_max = auto_q_max(n_kicks, phi_d)
+    even_sites = min((len(kick_kernel(phi_d)) - 1) // 2, q_max) + q_max + 1
+    with mock.patch.object(ladder, "BLOCK_ENTRIES", block_columns * even_sites):
+        blocked = folded_return_amplitudes(n_kicks, phi_d, periods, betas, params)
+    single = np.array([
+        folded_return_amplitudes(n_kicks, phi_d, t, b, params)[0]
+        for t, b in zip(periods, betas)
+    ])
+    reversed_ = folded_return_amplitudes(
+        n_kicks, phi_d, periods[::-1], betas[::-1], params
+    )[::-1]
+    assert np.array_equal(blocked, single)
+    assert np.array_equal(blocked, reversed_)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.2])
+def test_folded_echo_on_narrow_ladders(params, beta):
+    """A ladder narrower than the kick kernel (q_max = 11, half-width 12)
+    still folds exactly while its edge band stays empty: near half the
+    Talbot time each kick pair nearly cancels.  A ladder too narrow for
+    the train fails the edge gate in both sectors."""
+    period = params.talbot_time / 2 + 1e-9
+    assert (len(kick_kernel(0.5)) - 1) // 2 == 12
+    state, _ = run_sequence(SequenceSpec(4, 0.5, period), beta, params, q_max=11)
+    folded = folded_return_amplitudes(4, 0.5, period, beta, params, q_max=11)
+    assert abs(folded[0] - state.amplitude(0)) <= 1e-10
+    with pytest.raises(TruncationError, match="edge-band population"):
+        folded_return_amplitudes(10, 1.5, params.talbot_time, beta, params, q_max=12)
 
 
 def test_batched_accelerated_matches_scalar_up_to_global_phase(params):

@@ -13,7 +13,12 @@ from kickecho.errors import (
     PeakNotBracketedError,
 )
 from kickecho import scans
-from kickecho.ladder import SequenceSpec, WavepacketSpec, batched_return_amplitudes
+from kickecho.ladder import (
+    SequenceSpec,
+    WavepacketSpec,
+    batched_return_amplitudes,
+    gaussian_output,
+)
 from kickecho.scans import (
     ScanCurve,
     extract_fwhm,
@@ -116,6 +121,14 @@ def test_scan_is_bit_identical_across_workers(params):
     assert a.fwhm == b.fwhm
 
 
+def test_p0_scan_is_bit_identical_across_workers(params):
+    spec = SequenceSpec(12, 0.6, params.talbot_time)
+    a, b, c = (scan("p0", spec, params, n_points=65, workers=w) for w in (1, 2, 3))
+    assert np.array_equal(a.output, b.output)
+    assert np.array_equal(a.output, c.output)
+    assert a.fwhm == b.fwhm == c.fwhm
+
+
 def test_scan_threads_are_capped_at_the_core_count(params, monkeypatch):
     """A huge worker count starts no more threads than there are cores and
     leaves the curve unchanged.  The fake pool runs its chunks in order on
@@ -206,6 +219,14 @@ def test_scan_argument_validation(params):
         scan("eps", spec, params, window=(1.0, 1.0))
     with pytest.raises(ValueError):
         scan("sideways", spec, params)
+    # Caps that stop before a second quadrature rule could never converge.
+    wp = WavepacketSpec(sigma_x=1e-4)
+    for max_nodes in (10, 33, 64):
+        with pytest.raises(ValueError, match="max_nodes"):
+            gaussian_output(spec, wp, params, max_nodes=max_nodes)
+    for max_density in (4.0, 8.0, 15.9):
+        with pytest.raises(ValueError, match="max_density"):
+            gaussian_accel_curve(10, 0.5, [0.0], wp, params, max_density=max_density)
 
 
 def test_fit_scaling_recovers_exact_power_law():
