@@ -15,7 +15,9 @@ bit-identical curves.
 from __future__ import annotations
 
 import functools
+import logging
 import math
+import numbers
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +42,8 @@ from .ladder import (
 )
 from .params import PhysicalParams, v0_from_gamma
 
+logger = logging.getLogger(__name__)
+
 # Fractional slack allowed on the output range before validation fails;
 # engine outputs are squared magnitudes so only rounding can exceed [0, 1].
 OUTPUT_RANGE_TOL = 1e-9
@@ -53,6 +57,10 @@ TAU_DOMAIN_LO_FRACTION = 1.0 / 4096.0
 TAU_DOMAIN_HI_FRACTION = 0.5
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Stop rule of the coarse pulse-duration walk (see _walk_until_turned).
+TAU_TURN_POINTS = 2
+TAU_SETTLED_DESCENT = 3
 
 
 @dataclass(frozen=True)
@@ -567,6 +575,41 @@ def _finite_width(
     )
 
 
+def _walk_until_turned(
+    width: Callable[[float], float], taus: np.ndarray
+) -> list[float]:
+    """Widths along the coarse duration grid, short to long, up to the turn.
+
+    The walk stops at the TAU_TURN_POINTS-th point after the running best
+    that is not narrower than it.  A finite width always counts; a failed
+    one (inf) counts only when the best is settled, i.e. reached by a
+    descent of at least TAU_SETTLED_DESCENT strictly decreasing finite
+    widths.  A new best resets the count.  Durations after the stop are
+    never evaluated.
+    """
+    widths: list[float] = []
+    best = math.inf
+    settled = False
+    descent = 0  # strictly decreasing finite widths ending at this point
+    turned = 0
+    for tau in taus:
+        w = width(float(tau))
+        if not math.isfinite(w):
+            descent = 0
+        elif widths and w < widths[-1]:
+            descent += 1
+        else:
+            descent = 1
+        widths.append(w)
+        if w < best:
+            best, settled, turned = w, descent >= TAU_SETTLED_DESCENT, 0
+        elif math.isfinite(w) or settled:
+            turned += 1
+            if turned == TAU_TURN_POINTS:
+                break
+    return widths
+
+
 def find_tau_min(
     n_pulses: int,
     gamma: float,
@@ -583,6 +626,16 @@ def find_tau_min(
     (T_T/4096, T_T/2] and refined by golden-section search in log tau to
     a relative resolution of 1e-3.
 
+    The coarse grid is walked from short to long durations and the walk
+    stops once the width has turned: at the second point after the
+    running best that is not narrower than it.  A duration without a
+    measurable central peak counts as wide, but toward the stop only
+    after the best was reached by a descent of at least three strictly
+    decreasing finite widths; short single pulses can show a spurious
+    early basin before the real dip.  The coarse minimum is the argmin
+    over the walked durations, and the golden-section search brackets it
+    by its two coarse neighbors.
+
     Requires gamma * n_pulses > 1; far below that the kicks are too weak
     for the width to turn over inside the domain.
 
@@ -592,9 +645,19 @@ def find_tau_min(
 
     Raises
     ------
+    ValueError
+        If n_pulses or coarse_points is not an integer (bools included),
+        coarse_points < 16, or gamma * n_pulses <= 1.
     NoInteriorMinimumError
-        If the coarse grid's smallest width sits on the domain edge.
+        If no walked duration has a measurable peak, or the smallest
+        walked width sits on the domain edge: on the first duration, or
+        on the last one of a walk that never turned.
     """
+    for name, value in (("n_pulses", n_pulses), ("coarse_points", coarse_points)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if n_pulses < 1:
+        raise ValueError(f"n_pulses must be a positive integer, got {n_pulses!r}")
     if coarse_points < 16:
         raise ValueError(f"need at least 16 coarse points, got {coarse_points}")
     if gamma * n_pulses <= 1.0:
@@ -623,16 +686,30 @@ def find_tau_min(
         TAU_DOMAIN_HI_FRACTION * center,
         coarse_points,
     )
-    widths = np.array([width(float(t)) for t in taus])
+    widths = _walk_until_turned(width, taus)
+    walked = len(widths)
     i_min = int(np.argmin(widths))
+
+    def log_search(golden: int) -> None:
+        logger.debug(
+            "find_tau_min(n_pulses=%d, gamma=%g): walked %d of %d durations, "
+            "coarse argmin %d (tau = %.6g s), %d golden-section evaluations",
+            n_pulses, gamma, walked, coarse_points, i_min, taus[i_min], golden,
+        )
+
     if not math.isfinite(widths[i_min]):
+        log_search(0)
         raise NoInteriorMinimumError(
-            "no measurable timing peak anywhere on the coarse duration grid"
+            f"no measurable timing peak on any of the {walked} durations "
+            f"walked on the coarse grid"
         )
     if i_min == 0 or i_min == taus.size - 1:
+        log_search(0)
+        edge = "short" if i_min == 0 else "long"
         raise NoInteriorMinimumError(
-            f"width is monotone across the duration domain "
-            f"(smallest at the {'short' if i_min == 0 else 'long'}-pulse edge)"
+            f"smallest width at the {edge}-pulse edge of the duration domain "
+            f"(tau = {taus[i_min]:.6g} s) after walking {walked} of "
+            f"{coarse_points} durations"
         )
 
     # Golden-section in log tau between the coarse neighbors.
@@ -641,6 +718,7 @@ def find_tau_min(
     x2 = lo + _INV_GOLDEN * (hi - lo)
     f1 = width(math.exp(x1))
     f2 = width(math.exp(x2))
+    golden = 2
     while math.expm1(hi - lo) > TAU_RESOLUTION:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
@@ -650,6 +728,8 @@ def find_tau_min(
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INV_GOLDEN * (hi - lo)
             f2 = width(math.exp(x2))
+        golden += 1
+    log_search(golden)
     tau_min = min(cache, key=cache.__getitem__)
     return tau_min, cache[tau_min]
 

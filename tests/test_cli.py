@@ -250,6 +250,19 @@ def test_tau_min_sweep_smoke(tmp_path):
     )
 
 
+def test_tau_min_sweep_small_gamma_n(tmp_path):
+    out = str(tmp_path / "sweep.csv")
+    code = run_cli(
+        "tau-min-sweep",
+        "--set", "gamma=3", "--set", "n_list=6,8",
+        "--out", out,
+    )
+    assert code == 0
+    side = json.load(open(sidecar_path(out)))
+    for product in side["metrics"]["tau_min_sqrt_gamma_n_us"]:
+        assert product == pytest.approx(22.0, rel=0.05)
+
+
 def test_peak_shift_smoke(tmp_path):
     out = str(tmp_path / "shift.csv")
     code = run_cli(

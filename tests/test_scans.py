@@ -1,5 +1,6 @@
 """Scan curves, width extraction, duration optimization, and power-law fits."""
 
+import logging
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from kickecho.analytic import X_HALF, fwhm_accel, fwhm_eps, fwhm_p0
 from kickecho.errors import (
     InsufficientSpanError,
     MultimodalPeakError,
+    NoInteriorMinimumError,
     PeakNotBracketedError,
 )
 from kickecho import scans
@@ -272,6 +274,126 @@ def test_find_tau_min_validation(params):
         find_tau_min(2, 0.4, params)  # gamma * n_pulses <= 1
     with pytest.raises(ValueError):
         find_tau_min(4, 10.0, params, coarse_points=8)
+    for bad in (16.5, 18.0, True, "18"):
+        with pytest.raises(ValueError, match="coarse_points"):
+            find_tau_min(4, 10.0, params, coarse_points=bad)
+    for bad in (True, 4.0, 0, -3):
+        with pytest.raises(ValueError, match="n_pulses"):
+            find_tau_min(bad, 10.0, params)
+
+
+F = math.inf  # a duration whose width measurement fails
+
+
+class _ReplayedWidths:
+    """Stand-in for scans._finite_width that replays one width per coarse
+    duration and records which coarse durations were measured.
+
+    Off the grid (golden-section steps) the width is a parabola in log tau
+    around the replayed width at index i_min (default: the smallest), so
+    the refinement converges onto that grid point.
+    """
+
+    def __init__(self, params, widths, i_min=None):
+        center = params.talbot_time
+        self.taus = np.geomspace(
+            scans.TAU_DOMAIN_LO_FRACTION * center,
+            scans.TAU_DOMAIN_HI_FRACTION * center,
+            len(widths),
+        )
+        self.widths = {float(t): w for t, w in zip(self.taus, widths)}
+        if i_min is None:
+            i_min = int(np.argmin(widths))
+        self.tau_best, self.w_best = float(self.taus[i_min]), widths[i_min]
+        self.walked: list[int] = []
+
+    def __call__(self, n_pulses, v0, tau_p, params, center):
+        if tau_p in self.widths:
+            self.walked.append(int(np.flatnonzero(self.taus == tau_p)[0]))
+            w = self.widths[tau_p]
+        else:
+            w = self.w_best * (1.0 + math.log(tau_p / self.tau_best) ** 2)
+        if not math.isfinite(w):
+            raise PeakNotBracketedError("replayed failure")
+        return w, center
+
+
+def _replay(monkeypatch, params, widths, i_min=None):
+    fake = _ReplayedWidths(params, widths, i_min)
+    monkeypatch.setattr(scans, "_finite_width", fake)
+    return fake
+
+
+def test_tau_min_walk_stops_two_points_after_settled_minimum(monkeypatch, params):
+    # The bump 16 counts once against the best 15; the new best 12 resets
+    # the count.  Best 9 at index 6 follows the descent 16 > 12 > 10 > 9, so
+    # it is settled: the failure at 7 counts and the wider 11 at 8 stops
+    # the walk.  The narrower 1.0 from index 9 on is never measured.
+    widths = [F, 20, 15, 16, 12, 10, 9, F, 11] + [1.0] * 9
+    fake = _replay(monkeypatch, params, widths, i_min=6)
+    tau, w = find_tau_min(4, 10.0, params)
+    assert fake.walked == list(range(9))
+    assert tau == float(fake.taus[6]) and w == 9
+
+
+def test_tau_min_walk_raises_on_first_point_minimum(monkeypatch, params):
+    fake = _replay(monkeypatch, params, [1.0 + i for i in range(18)])
+    with pytest.raises(NoInteriorMinimumError, match=r"short-pulse edge.* 3 of 18"):
+        find_tau_min(4, 10.0, params)
+    assert fake.walked == [0, 1, 2]
+
+
+def test_tau_min_walk_raises_on_falling_curve(monkeypatch, params):
+    fake = _replay(monkeypatch, params, [100.0 - i for i in range(18)])
+    with pytest.raises(NoInteriorMinimumError, match=r"long-pulse edge.* 18 of 18"):
+        find_tau_min(4, 10.0, params)
+    assert fake.walked == list(range(18))
+
+
+def test_tau_min_walk_raises_when_every_point_fails(monkeypatch, params):
+    fake = _replay(monkeypatch, params, [F] * 18)
+    with pytest.raises(NoInteriorMinimumError, match="18 durations"):
+        find_tau_min(4, 10.0, params)
+    assert fake.walked == list(range(18))
+
+
+def test_tau_min_walk_passes_unsettled_best(monkeypatch, params):
+    # Single-pulse shape: an early basin reached by a two-point descent is
+    # not settled, so the failures after it do not stop the walk.
+    widths = [F] * 11 + [46.3, 33.5, F, F, 8.15, F, F]
+    fake = _replay(monkeypatch, params, widths)
+    tau, w = find_tau_min(4, 10.0, params)
+    assert fake.walked == list(range(18))
+    assert tau == float(fake.taus[15]) and w == 8.15
+
+
+def test_tau_min_logs_one_debug_record_per_call(monkeypatch, params, caplog):
+    _replay(monkeypatch, params, [F, 20, 15, 16, 12, 10, 9, F, 11] + [1.0] * 9, 6)
+    caplog.set_level(logging.DEBUG, logger="kickecho.scans")
+    find_tau_min(4, 10.0, params)
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG
+    message = record.getMessage()
+    assert "walked 9 of 18 durations" in message
+    assert "coarse argmin 6" in message
+    assert "golden-section evaluations" in message
+    caplog.clear()
+    _replay(monkeypatch, params, [1.0 + i for i in range(18)])
+    with pytest.raises(NoInteriorMinimumError):
+        find_tau_min(4, 10.0, params)
+    (record,) = caplog.records
+    assert "walked 3 of 18" in record.getMessage()
+    assert "0 golden-section" in record.getMessage()
+
+
+@pytest.mark.parametrize("gamma,n", [(3.0, 6), (3.0, 8), (5.0, 4), (5.0, 6)])
+def test_find_tau_min_small_gamma_n_cells(params, gamma, n):
+    """A spurious narrow width at tau = T_T / 2 once took the argmin in
+    these cells; the walk stops at the real minimum before reaching it."""
+    tau, w = find_tau_min(n, gamma, params)
+    assert tau < 0.25 * params.talbot_time
+    assert tau * math.sqrt(gamma * n) == pytest.approx(22e-6, rel=0.05)
+    assert 0.0 < w
 
 
 def test_gaussian_accel_scan_reaches_point_source_limit(params):
