@@ -84,7 +84,6 @@ from .ladder import (
     kick_kernel,
     momentum_history,
     run_sequence,
-    run_train,
 )
 from .params import (
     HBAR,
@@ -161,7 +160,6 @@ __all__ = [
     "kick_kernel",
     "momentum_history",
     "run_sequence",
-    "run_train",
     "HBAR",
     "KickStrength",
     "PhysicalParams",

@@ -38,9 +38,9 @@ from .finite_pulse import FinitePulseSpec
 from .ladder import (
     SequenceSpec,
     WavepacketSpec,
+    batched_return_amplitudes,
     gaussian_output,
     momentum_history,
-    run_sequence,
 )
 from .params import HBAR, PhysicalParams, v0_from_gamma
 from .scans import (
@@ -259,7 +259,10 @@ def _run_echo(config: RunConfig):
             spec, WavepacketSpec(sigma_x=sigma_um * 1e-6), params
         )
     else:
-        _, output = run_sequence(spec, config["beta"], params)
+        amp = batched_return_amplitudes(
+            spec.n_kicks, spec.phi_d, spec.period, config["beta"], spec.accel, params
+        )[0]
+        output = float(abs(amp) ** 2)
     header = ["eps_s", "beta", "accel_m_s2", "output_I"]
     rows = [[config["eps_ns"] * 1e-9, config["beta"], config["accel"], output]]
     return header, rows, _derived(params, phi_d=config["phi_d"]), {"I": output}

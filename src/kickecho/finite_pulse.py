@@ -56,8 +56,8 @@ from .ladder import (
     WavepacketSpec,
     _check_edge_population,
     _check_edges,
-    _check_norm,
     _check_norms,
+    _check_q_max,
     _convolve_kick,
     _fiber_average,
     auto_q_max,
@@ -282,7 +282,7 @@ def run_finite_sequence(
             for _ in range(spec.n_pulses):
                 state = apply_finite_pulse(state, spec, sign, params, method)
                 state = LadderState(beta, q_max, state.amps * free_phase)
-    _check_norm(state, "finite-pulse sequence")
+    _check_norms(state.amps, "over the finite-pulse sequence")
     return state, state.population(0)
 
 
@@ -327,6 +327,8 @@ def finite_return_amplitudes(
         raise ValueError("periods, betas, v0 and tau_p must be finite")
     if np.any(t <= 0.0) or tau_p < 0.0 or np.any(t < tau_p):
         raise ValueError("periods must be positive and no smaller than tau_p")
+    if q_max is not None:
+        _check_q_max(q_max)
     out = np.empty(t.size, dtype=np.complex128)
     for beta in np.unique(bet):
         cols = np.nonzero(bet == beta)[0]

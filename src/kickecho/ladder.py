@@ -35,22 +35,33 @@ sector q = 0 .. q_max.  Mirrored rows c_D .. c_1 ahead of c_0, D the
 kernel half-width (at most q_max), keep the kick a plain convolution;
 there the norm is |c_0|^2 + 2 sum_{q>=1} |c_q|^2.  scan-eps (beta = 0)
 runs on the even sector and scan-p0 on the folded full ladder.
-Accelerated columns, the Gaussian fiber averages (gaussian_output and the
-acceleration curves), run_sequence and momentum_history keep both
-trains: run_sequence is the independent reference, and the folded run
-gates only the forward train, so it can pass where the reversed train
-fails the edge gate.  That happens to the N = 40, phi_d = 0.5,
+Accelerated columns, the plane-wave echo and the Gaussian fiber averages
+(gaussian_output and the acceleration curves) run both trains, and
+momentum_history records every kick of both.  The folded run gates only
+the forward train, so it can pass where the reversed train fails the
+edge gate.  That happens to the N = 40, phi_d = 0.5,
 sigma_x = 100 um Gaussian echo, which exits 3 on two trains; its folded
 65-node rule returns I = 0.0751.  The benchmark keeps that echo as an
 operation that must exit 3, so the Gaussian path stays on two trains
 until the fiber quadrature and that operation change together.
+
+Engine and reference.  batched_return_amplitudes, folded_return_amplitudes,
+momentum_history and train_matrix all run one loop, _kick_columns: each
+period kicks a block of columns into preallocated buffers, calls a
+per-kick hook (the edge gate, the even-sector mirror, a population
+record, or nothing), then applies the free-flight phase, carried under
+acceleration as a running multiplier without the global a^2 phase.
+run_sequence is the independent reference: apply_kick and one free
+flight per period, with the exact accelerated action.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import special
@@ -118,9 +129,15 @@ class LadderState:
 
 def ground_state(beta: float, q_max: int) -> LadderState:
     """State fully on rung q = 0 of the beta fiber."""
-    if q_max < EDGE_BAND + 1:
-        raise ValueError(f"q_max must be at least {EDGE_BAND + 1}, got {q_max}")
-    return basis_state(beta, q_max, 0)
+    return basis_state(beta, _check_q_max(q_max), 0)
+
+
+def _check_q_max(q_max: int) -> int:
+    """q_max if it is an integer of at least EDGE_BAND + 1, else ValueError:
+    a narrower ladder has no room for an edge band beside q = 0."""
+    if not (isinstance(q_max, numbers.Integral) and q_max >= EDGE_BAND + 1):
+        raise ValueError(f"q_max must be an integer >= {EDGE_BAND + 1}, got {q_max!r}")
+    return q_max
 
 
 def basis_state(beta: float, q_max: int, q: int) -> LadderState:
@@ -153,8 +170,8 @@ def kick_kernel(phi_d: float, sign: int = +1) -> np.ndarray:
     array has odd length 2D+1 with the d = 0 term in the middle; orders with
     |J_d| < KERNEL_TOL are dropped.
     """
-    if phi_d < 0.0:
-        raise ValueError(f"phi_d must be >= 0, got {phi_d!r}")
+    if not (0.0 <= phi_d < math.inf):
+        raise ValueError(f"phi_d must be finite and >= 0, got {phi_d!r}")
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     d_max = max(4, int(math.ceil(phi_d + 12.0 + 8.0 * phi_d ** (1.0 / 3.0))))
@@ -213,13 +230,6 @@ def _check_edge_population(worst: float, q_max: int) -> None:
             f"edge-band population {worst:.3e} exceeds {EDGE_TOL:.0e} on ladder "
             f"with q_max = {q_max}; rerun with a wider ladder"
         )
-
-
-def _check_norm(state: LadderState, what: str) -> None:
-    """Norm gate on a final state; written so that NaN fails it."""
-    norm = state.norm()
-    if not (abs(norm - 1.0) <= NORM_TOL):
-        raise TruncationError(f"norm drifted to {norm!r} over the {what}; ladder too narrow")
 
 
 def _check_norms(amps: np.ndarray, where: str) -> None:
@@ -316,39 +326,6 @@ def at_resonance(
     return SequenceSpec(n_kicks, phi_d, params.talbot_time + detuning, accel)
 
 
-def run_train(
-    state: LadderState,
-    n_kicks: int,
-    phi_d: float,
-    sign: int,
-    period: float,
-    params: PhysicalParams,
-    accel: float = 0.0,
-    t_offset: float = 0.0,
-    record: list | None = None,
-) -> LadderState:
-    """Apply n_kicks periods of (kick, free flight) with the given kick sign.
-
-    t_offset is the absolute time at which this train starts (relevant only
-    under acceleration).  If record is a list, the population array after
-    every kick is appended to it.
-    """
-    kernel = kick_kernel(phi_d, sign)
-    for n in range(n_kicks):
-        out = _convolve_kick(state.amps, kernel)
-        _check_edges(out, state.q_max)
-        state = LadderState(state.beta, state.q_max, out)
-        if record is not None:
-            record.append(state.populations())
-        if accel == 0.0:
-            state = apply_free_evolution(state, period, params)
-        else:
-            state = apply_free_evolution_accelerated(
-                state, period, params, accel, t_offset + n * period
-            )
-    return state
-
-
 def run_sequence(
     seq: SequenceSpec,
     beta: float,
@@ -358,11 +335,80 @@ def run_sequence(
     """Run a full sequence from the q = 0 rung of the beta fiber.
 
     Returns (final state, output) where output = |c_{q=0}|^2 is the
-    probability of having returned to the initial momentum.
+    probability of having returned to the initial momentum.  This is the
+    plain reference for the engine below: one apply_kick and one free
+    flight per period, with the exact accelerated action.
     """
-    state = _run_both_trains(seq, beta, params, q_max)
-    _check_norm(state, "sequence")
+    state = ground_state(beta, auto_q_max(seq.n_kicks, seq.phi_d) if q_max is None else q_max)
+    for sign, t_offset in ((+1, 0.0), (-1, seq.n_kicks * seq.period)):
+        for n in range(seq.n_kicks):
+            state = apply_kick(state, seq.phi_d, sign)
+            if seq.accel == 0.0:
+                state = apply_free_evolution(state, seq.period, params)
+            else:
+                state = apply_free_evolution_accelerated(
+                    state, seq.period, params, seq.accel, t_offset + n * seq.period
+                )
+    _check_norms(state.amps, "over the sequence")
     return state, state.population(0)
+
+
+def _kick_columns(amps: np.ndarray, kernels, phase: np.ndarray, step=None, hook=None) -> np.ndarray:
+    """The delta-kick engine's loop: one period per kernel on a block of
+    columns amps (sites, m), which it overwrites.
+
+    Each period kicks the block, calls hook on the kicked block (a gate, a
+    mirror or a record), then multiplies it by the free-flight phase.
+    With step given, phase is multiplied by step after every period (a
+    running multiplier, overwritten); otherwise it is the same in every
+    period.  Returns the final amplitudes.
+    """
+    out = np.empty_like(amps)
+    tmp = np.empty_like(amps)
+    for kernel in kernels:
+        _convolve_kick(amps, kernel, out, tmp)
+        amps, out = out, amps
+        if hook is not None:
+            hook(amps)
+        amps *= phase
+        if step is not None:
+            phase *= step
+    return amps
+
+
+def _free_phase(qs, t, bet, params: PhysicalParams) -> np.ndarray:
+    """Zero-acceleration free-flight phase exp(-2 pi i (t/T_T) (q + beta)^2)
+    of rungs qs (rows) for periods t and quasimomenta bet (columns)."""
+    return np.exp(
+        -2j * math.pi * (t / params.talbot_time)[None, :] * (qs[:, None] + bet[None, :]) ** 2
+    )
+
+
+def _accelerated_flight(qs, t, bet, acc, params: PhysicalParams, t_start: float = 0.0):
+    """(phase, step) of _kick_columns for columns (t, bet, acc) of a train
+    that starts at time t_start.
+
+    Period n = 1, 2, ... multiplies by quad * half^(2n - 1 + 2 t_start/t),
+    quad the zero-acceleration phase and
+    half = exp(i kappa a t^2 (q + beta) / 2): the linear-in-(q+beta) term
+    of the accelerated action grows arithmetically in n, so the engine
+    carries it as a running multiplier with step = half^2.  The
+    (q, beta)-independent a^2 term is dropped: it is common to every fiber
+    with the same (period, accel).
+    """
+    t, bet, acc = np.atleast_1d(t, bet, acc)
+    qb = qs[:, None] + bet[None, :]
+    half = np.exp(1j * (0.5 * params.kappa * acc * t**2)[None, :] * qb)
+    phase = _free_phase(qs, t, bet, params) * half
+    if t_start:
+        phase *= np.exp(1j * (params.kappa * acc * t * t_start)[None, :] * qb)
+    return phase, half * half
+
+
+def _column_blocks(cols: np.ndarray, sites: int):
+    """cols in runs of about BLOCK_ENTRIES / sites columns."""
+    width = max(1, BLOCK_ENTRIES // sites)
+    return (cols[lo : lo + width] for lo in range(0, cols.size, width))
 
 
 def momentum_history(
@@ -374,29 +420,22 @@ def momentum_history(
     """Populations |c_q|^2 after each of the 2*n_kicks kicks.
 
     Returns (q_values, history) with history.shape = (2*n_kicks, sites).
+    One column of the engine, gated as in batched_return_amplitudes.
     """
-    record: list[np.ndarray] = []
-    state = _run_both_trains(seq, beta, params, q_max, record)
-    return state.q_values, np.array(record)
+    start = ground_state(beta, auto_q_max(seq.n_kicks, seq.phi_d) if q_max is None else q_max)
+    q_max, qs = start.q_max, start.q_values
+    history = []
 
+    def record(amps):
+        _check_edges(amps, q_max)
+        history.append(np.abs(amps[:, 0]) ** 2)
 
-def _run_both_trains(
-    seq: SequenceSpec,
-    beta: float,
-    params: PhysicalParams,
-    q_max: int | None,
-    record: list | None = None,
-) -> LadderState:
-    """The kick train of sign +1, then of sign -1, from the q = 0 rung."""
-    if q_max is None:
-        q_max = auto_q_max(seq.n_kicks, seq.phi_d)
-    state = ground_state(beta, q_max)
-    for sign, t_offset in ((+1, 0.0), (-1, seq.n_kicks * seq.period)):
-        state = run_train(
-            state, seq.n_kicks, seq.phi_d, sign, seq.period, params,
-            seq.accel, t_offset, record,
-        )
-    return state
+    kernels = (kick_kernel(seq.phi_d, +1),) * seq.n_kicks
+    kernels += (kick_kernel(seq.phi_d, -1),) * seq.n_kicks
+    flight = _accelerated_flight(qs, seq.period, beta, seq.accel, params)
+    amps = _kick_columns(start.amps[:, None], kernels, *flight, record)
+    _check_norms(amps, "over the sequence")
+    return qs, np.array(history)
 
 
 def train_matrix(
@@ -413,18 +452,15 @@ def train_matrix(
     """Full matrix of one train on the truncated ladder.
 
     Returns (q_values, U) where U[:, j] is the train applied to the basis
-    state on rung q_values[j].  Used to read transition amplitudes
-    <q'|train|q> without re-running per column.
+    state on rung q_values[j], without the a^2 action phase (as in
+    batched_return_amplitudes).  Used to read transition amplitudes
+    <q'|train|q> without re-running per column.  No gate runs.
     """
-    if q_max is None:
-        q_max = auto_q_max(n_kicks, phi_d) + EDGE_BAND
+    q_max = auto_q_max(n_kicks, phi_d) + EDGE_BAND if q_max is None else _check_q_max(q_max)
     qs = np.arange(-q_max, q_max + 1)
-    u = np.eye(2 * q_max + 1, dtype=np.complex128)
-    kernel = kick_kernel(phi_d, sign)
-    for n in range(n_kicks):
-        u = _convolve_kick(u, kernel)
-        u *= _accelerated_phase(qs, beta, period, params, accel, t_offset + n * period)[:, None]
-    return qs, u
+    flight = _accelerated_flight(qs, period, beta, accel, params, t_offset)
+    u = np.eye(qs.size, dtype=np.complex128)
+    return qs, _kick_columns(u, (kick_kernel(phi_d, sign),) * n_kicks, *flight)
 
 
 def _flat_columns(what: str, periods, *rest) -> tuple[tuple[int, ...], list[np.ndarray]]:
@@ -473,54 +509,19 @@ def batched_return_amplitudes(
     shape, (t, bet, acc) = _flat_columns(
         "periods, betas and accels", periods, betas, accels
     )
-    if q_max is None:
-        q_max = auto_q_max(n_kicks, phi_d)
+    q_max = auto_q_max(n_kicks, phi_d) if q_max is None else _check_q_max(q_max)
     qs = np.arange(-q_max, q_max + 1)
-    kernels = (kick_kernel(phi_d, +1), kick_kernel(phi_d, -1))
-    width = max(1, BLOCK_ENTRIES // qs.size)
+    kernels = (kick_kernel(phi_d, +1),) * n_kicks + (kick_kernel(phi_d, -1),) * n_kicks
+    gate = partial(_check_edges, q_max=q_max)
     out = np.empty(t.size, dtype=np.complex128)
-    for lo in range(0, t.size, width):
-        block = slice(lo, lo + width)
-        out[block] = _run_block(n_kicks, kernels, t[block], bet[block], acc[block], qs, params)
+    for block in _column_blocks(np.arange(t.size), qs.size):
+        amps = np.zeros((qs.size, block.size), dtype=np.complex128)
+        amps[q_max] = 1.0
+        flight = _accelerated_flight(qs, t[block], bet[block], acc[block], params)
+        amps = _kick_columns(amps, kernels, *flight, gate)
+        _check_norms(amps, "over the batched sequence")
+        out[block] = amps[q_max]
     return out.reshape(shape)
-
-
-def _run_block(
-    n_kicks: int,
-    kernels: tuple[np.ndarray, np.ndarray],
-    t: np.ndarray,
-    bet: np.ndarray,
-    acc: np.ndarray,
-    qs: np.ndarray,
-    params: PhysicalParams,
-) -> np.ndarray:
-    """Return amplitudes of one block of columns of batched_return_amplitudes."""
-    q_max = (qs.size - 1) // 2
-    qb = qs[:, None] + bet[None, :]
-
-    amps = np.zeros((qs.size, t.size), dtype=np.complex128)
-    amps[q_max, :] = 1.0
-    out = np.empty_like(amps)
-    tmp = np.empty_like(amps)
-
-    # Per-period quadratic phase, fixed per case; linear-in-(q+beta) phase
-    # advances by a constant factor each interval (arithmetic progression in
-    # the interval index), so it is carried as a running multiplier.
-    quad = np.exp(-2j * math.pi * (t / params.talbot_time)[None, :] * qb**2)
-    b_lin = 0.5 * params.kappa * acc * t**2
-    step = np.exp(1j * b_lin[None, :] * qb)
-    interval_phase = quad * step  # interval n = 1 uses coefficient (2n-1) = 1
-    step_sq = step * step
-
-    for k in range(2 * n_kicks):
-        _convolve_kick(amps, kernels[k >= n_kicks], out, tmp)
-        amps, out = out, amps
-        _check_edges(amps, q_max)
-        amps *= interval_phase
-        interval_phase *= step_sq
-
-    _check_norms(amps, "over the batched sequence")
-    return amps[q_max, :]
 
 
 def folded_return_amplitudes(
@@ -548,8 +549,7 @@ def folded_return_amplitudes(
     block.  Non-finite inputs raise ValueError.
     """
     shape, (t, bet) = _flat_columns("periods and betas", periods, betas)
-    if q_max is None:
-        q_max = auto_q_max(n_kicks, phi_d)
+    q_max = auto_q_max(n_kicks, phi_d) if q_max is None else _check_q_max(q_max)
     kernel = kick_kernel(phi_d, +1)
     # The even sector holds min(D, q_max) mirrored rows c_D .. c_1 ahead of
     # c_0 .. c_q_max, D the kernel half-width: every row below q = 0 that
@@ -559,9 +559,7 @@ def folded_return_amplitudes(
     for even in (True, False):
         cols = np.nonzero((bet == 0.0) == even)[0]
         qs = np.arange(-lead if even else -q_max, q_max + 1)
-        width = max(1, BLOCK_ENTRIES // qs.size)
-        for lo in range(0, cols.size, width):
-            block = cols[lo : lo + width]
+        for block in _column_blocks(cols, qs.size):
             out[block] = _fold_block(n_kicks, kernel, t[block], bet[block], qs, even, params)
     return out.reshape(shape)
 
@@ -579,22 +577,16 @@ def _fold_block(
     folded_return_amplitudes; rows qs, from -lead on the even sector."""
     q_max = int(qs[-1])
     i0 = -int(qs[0])
-    free = np.exp(
-        -2j * math.pi * (t / params.talbot_time)[None, :] * (qs[:, None] + bet[None, :]) ** 2
-    )
+    free = _free_phase(qs, t, bet, params)
+
+    def mirror_and_gate(amps):  # even sector: refill rows c_D .. c_1, gate the top band
+        amps[:i0] = amps[2 * i0 : i0 : -1]
+        _check_edge_population(float(np.abs(amps[-EDGE_BAND:]).max() ** 2), q_max)
+
     amps = np.zeros((qs.size, t.size), dtype=np.complex128)
     amps[i0, :] = 1.0
-    out = np.empty_like(amps)
-    tmp = np.empty_like(amps)
-    for _ in range(n_kicks):
-        _convolve_kick(amps, kernel, out, tmp)
-        amps, out = out, amps
-        if even:
-            amps[:i0] = amps[2 * i0 : i0 : -1]
-            _check_edge_population(float(np.abs(amps[-EDGE_BAND:]).max() ** 2), q_max)
-        else:
-            _check_edges(amps, q_max)
-        amps *= free
+    hook = mirror_and_gate if even else partial(_check_edges, q_max=q_max)
+    amps = _kick_columns(amps, (kernel,) * n_kicks, free, hook=hook)
 
     # Row weights of the fold: the parity (-1)^q, doubled on an even-sector
     # row q >= 1, which stands for the rungs +q and -q.

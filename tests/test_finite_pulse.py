@@ -218,6 +218,9 @@ def test_non_finite_inputs_fail_closed(params):
         finite_return_amplitudes(4, math.nan, 1e-6, t_t, 0.0, params)
     with pytest.raises(ValueError, match="finite"):
         finite_return_amplitudes(4, 1e-29, math.inf, t_t, 0.0, params)
+    for q_max in (-1, 2.5):
+        with pytest.raises(ValueError, match="q_max"):
+            finite_return_amplitudes(4, 1e-29, 1e-6, t_t, 0.0, params, q_max)
     amps = np.zeros(21, dtype=np.complex128)
     amps[10] = 1.0
     amps[0] = math.nan

@@ -19,6 +19,7 @@ from kickecho import ladder
 from kickecho.errors import TruncationError
 from kickecho.finite_pulse import delta_wavepacket_grid_output
 from kickecho.ladder import (
+    EDGE_BAND,
     LadderState,
     SequenceSpec,
     WavepacketSpec,
@@ -61,6 +62,22 @@ def _random_state(rng, q_max: int, spread: int, beta: float) -> LadderState:
     )
     amps /= np.linalg.norm(amps)
     return LadderState(beta=beta, q_max=q_max, amps=amps)
+
+
+def _reference_train(
+    state, n_kicks, phi_d, sign, period, params, accel=0.0, t_offset=0.0, record=None
+):
+    """Per-kick reference for one train: apply_kick, then the free flight
+    with the exact accelerated action; appends the populations after every
+    kick to record when given."""
+    for n in range(n_kicks):
+        state = apply_kick(state, phi_d, sign)
+        if record is not None:
+            record.append(state.populations())
+        state = apply_free_evolution_accelerated(
+            state, period, params, accel, t_offset + n * period
+        )
+    return state
 
 
 def test_kick_matches_position_grid_ground_state():
@@ -221,6 +238,13 @@ def test_batched_rejects_non_finite_inputs(params):
     for periods, betas in (([t, math.inf], 0.0), (t, [0.0, math.nan])):
         with pytest.raises(ValueError, match="finite"):
             folded_return_amplitudes(4, 0.5, periods, betas, params)
+    for q_max in (-1, 2.5, EDGE_BAND, 7.0):
+        with pytest.raises(ValueError, match="q_max"):
+            batched_return_amplitudes(4, 0.5, t, 0.0, 0.0, params, q_max)
+        with pytest.raises(ValueError, match="q_max"):
+            folded_return_amplitudes(4, 0.5, t, 0.0, params, q_max)
+        with pytest.raises(ValueError, match="q_max"):
+            train_matrix(4, 0.5, t, 0.0, params, q_max=q_max)
 
 
 @settings(max_examples=30, deadline=None)
@@ -351,15 +375,39 @@ def test_momentum_history_structure(params):
     assert history[-1, q0] == pytest.approx(1.0, abs=1e-10)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    n_kicks=st.integers(min_value=1, max_value=8),
+    phi_d=st.floats(min_value=0.0, max_value=1.5),
+    detuning=st.floats(min_value=-3e-9, max_value=3e-9),
+    beta=st.floats(min_value=-0.5, max_value=0.5),
+    accel=st.floats(min_value=-0.5, max_value=0.5),
+)
+def test_momentum_history_matches_per_kick_reference(
+    params, n_kicks, phi_d, detuning, beta, accel
+):
+    """Off resonance, off beta = 0 and under acceleration, the engine's
+    recorded populations equal those of the per-kick reference, whose
+    exact action keeps the global a^2 phase the engine drops."""
+    seq = SequenceSpec(n_kicks, phi_d, params.talbot_time + detuning, accel)
+    q_values, history = momentum_history(seq, beta, params)
+    state = ground_state(beta, (q_values.size - 1) // 2)
+    record = []
+    for sign, t_offset in ((+1, 0.0), (-1, n_kicks * seq.period)):
+        state = _reference_train(
+            state, n_kicks, phi_d, sign, seq.period, params, accel, t_offset, record
+        )
+    assert history.shape == (2 * n_kicks, q_values.size)
+    assert np.max(np.abs(history - np.array(record))) <= 1e-12
+
+
 def test_train_matrix_matches_state_evolution(params):
     n_kicks, phi_d, beta = 5, 0.9, 0.13
     period = params.talbot_time + 1e-9
     qs, u = train_matrix(n_kicks, phi_d, period, beta, params)
     q_max = (qs.size - 1) // 2
     state = ground_state(beta, q_max)
-    from kickecho.ladder import run_train
-
-    evolved = run_train(state, n_kicks, phi_d, +1, period, params)
+    evolved = _reference_train(state, n_kicks, phi_d, +1, period, params)
     np.testing.assert_allclose(u[:, q_max], evolved.amps, atol=1e-12)
     # Unitarity of the truncated train matrix away from the edges.
     inner = slice(q_max - 10, q_max + 11)
@@ -401,6 +449,9 @@ def test_kick_kernel_validation():
         kick_kernel(-0.5)
     with pytest.raises(ValueError):
         kick_kernel(0.5, sign=2)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            kick_kernel(bad)
 
 
 def test_sequence_spec_validation(params):
@@ -436,6 +487,9 @@ def test_basis_state_and_ground_state():
     assert g.norm() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         basis_state(0.0, 5, 9)
+    for q_max in (5, 7.5):
+        with pytest.raises(ValueError, match="q_max"):
+            ground_state(0.0, q_max)
 
 
 def test_auto_q_max_monotone():
