@@ -13,7 +13,8 @@ params
     Physical constants and laser/atom derived quantities.
 ladder
     Exact delta-kick evolution on the momentum ladder of one
-    quasimomentum fiber, plus Gaussian-wavepacket averages.
+    quasimomentum fiber, the closed-form echo of resonant fibers, plus
+    Gaussian-wavepacket averages.
 analytic
     First-order phase slopes, closed-form output curves, and peak
     widths for the three control axes.
@@ -83,6 +84,7 @@ from .ladder import (
     ground_state,
     kick_kernel,
     momentum_history,
+    resonant_return_amplitudes,
     run_sequence,
 )
 from .params import (
@@ -159,6 +161,7 @@ __all__ = [
     "ground_state",
     "kick_kernel",
     "momentum_history",
+    "resonant_return_amplitudes",
     "run_sequence",
     "HBAR",
     "KickStrength",

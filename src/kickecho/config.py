@@ -35,6 +35,17 @@ class ConfigError(ValueError):
     """Invalid run configuration; nothing has been computed or written."""
 
 
+# Caps on the work one run may request: kicks or pulses per train (also
+# each n_list entry), the strength of one kick (phi_d, or the finite-pulse
+# area V0 tau_p / (2 hbar) that gamma and tau_p_us give) and the depth
+# gamma, which sizes the finite-pulse ladder of tau-min-sweep.  Each is at
+# least ten times the largest value that the benchmark, the acceptance
+# tests and the scripts use (200 kicks, phi_d = 2, area 5.6, gamma = 100).
+MAX_KICKS = 2000
+MAX_PULSE_AREA = 100.0
+MAX_GAMMA = 1000.0
+
+
 _KEY_TYPES: dict[str, type] = {
     "mass_u": float,
     "lambda_nm": float,
@@ -197,6 +208,10 @@ def _check_bounds(values: dict[str, Any]) -> None:
         if key in values and values[key] is not None and not values[key] > 0:
             raise ConfigError(f"{key} must be positive, got {values[key]!r}")
 
+    def at_most(key: str, bound: float) -> None:
+        if key in values and values[key] is not None and not values[key] <= bound:
+            raise ConfigError(f"{key} must be at most {bound:g}, got {values[key]!r}")
+
     def at_least(key: str, bound: int) -> None:
         if key in values and values[key] is not None and values[key] < bound:
             raise ConfigError(
@@ -216,12 +231,22 @@ def _check_bounds(values: dict[str, Any]) -> None:
     at_least("points", 32)
     at_least("workers", 1)
     at_least("multiples", 1)
+    at_most("n_kicks", MAX_KICKS)
+    at_most("phi_d", MAX_PULSE_AREA)
+    at_most("gamma", MAX_GAMMA)
     if values.get("phi_d") is not None and values["phi_d"] < 0.0:
         raise ConfigError(f"phi_d must be nonnegative, got {values['phi_d']!r}")
     if values.get("tau_p_us") is not None and values["tau_p_us"] < 0.0:
         raise ConfigError(
             f"tau_p_us must be nonnegative, got {values['tau_p_us']!r}"
         )
+    if values.get("gamma") is not None and values.get("tau_p_us") is not None:
+        area = _pulse_area(values)
+        if not area <= MAX_PULSE_AREA:
+            raise ConfigError(
+                f"pulse area {area:.4g} of gamma = {values['gamma']!r} and "
+                f"tau_p_us = {values['tau_p_us']!r} must be at most {MAX_PULSE_AREA:g}"
+            )
     lo, hi = values.get("range_lo"), values.get("range_hi")
     if (lo is None) != (hi is None):
         raise ConfigError("range_lo and range_hi must be given together")
@@ -231,6 +256,16 @@ def _check_bounds(values: dict[str, Any]) -> None:
         values["n_list"] = _normalize_n_list(values["n_list"])
 
 
+def _pulse_area(values: dict[str, Any]) -> float:
+    """phi_d = V0 tau_p / (2 hbar) = gamma tau_p hbar kappa^2 / (2 m) of the
+    square pulse that gamma and tau_p_us give, for the config's atom."""
+    try:
+        params = derive_params(values["mass_u"] * ATOMIC_MASS_KG, values["lambda_nm"] * 1e-9)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return values["gamma"] * values["tau_p_us"] * 1e-6 * params.ladder_phase_rate
+
+
 def _normalize_n_list(text: str) -> str:
     try:
         items = [int(part.strip()) for part in text.split(",") if part.strip()]
@@ -238,6 +273,8 @@ def _normalize_n_list(text: str) -> str:
         raise ConfigError(f"n_list must be comma-separated integers, got {text!r}")
     if not items or any(n < 1 for n in items):
         raise ConfigError(f"n_list must hold positive integers, got {text!r}")
+    if max(items) > MAX_KICKS:
+        raise ConfigError(f"n_list entries must be at most {MAX_KICKS}, got {text!r}")
     return ",".join(str(n) for n in items)
 
 

@@ -35,15 +35,27 @@ sector q = 0 .. q_max.  Mirrored rows c_D .. c_1 ahead of c_0, D the
 kernel half-width (at most q_max), keep the kick a plain convolution;
 there the norm is |c_0|^2 + 2 sum_{q>=1} |c_q|^2.  scan-eps (beta = 0)
 runs on the even sector and scan-p0 on the folded full ladder.
-Accelerated columns, the plane-wave echo and the Gaussian fiber averages
-(gaussian_output and the acceleration curves) run both trains, and
-momentum_history records every kick of both.  The folded run gates only
-the forward train, so it can pass where the reversed train fails the
-edge gate.  That happens to the N = 40, phi_d = 0.5,
+Accelerated plane-wave columns, the plane-wave echo and gaussian_output
+run both trains, and momentum_history records every kick of both; the
+Gaussian acceleration curves need no ladder (below).  The folded run
+gates only the forward train, so it can pass where the reversed train
+fails the edge gate.  That happens to the N = 40, phi_d = 0.5,
 sigma_x = 100 um Gaussian echo, which exits 3 on two trains; its folded
 65-node rule returns I = 0.0751.  The benchmark keeps that echo as an
 operation that must exit 3, so the Gaussian path stays on two trains
 until the fiber quadrature and that operation change together.
+
+Resonant fibers.  At the period T = T_T the flight of period n is
+linear in the rung, F_n(q) = F_n(0) r_n^q with |r_n| = 1, a translation
+in position.  The 2N kicks exp(-i s_n phi_d cos theta) then commute into
+one of strength phi_d |S|, S = sum_n s_n r_1 ... r_{n-1}, so
+
+    c_0 = (prod_n F_n(0)) * J_0(phi_d |S|),
+
+exact on the infinite ladder for any beta and acceleration (Fishman,
+Guarneri and Rebuzzini, Phys. Rev. Lett. 89, 084101 (2002)).
+resonant_return_amplitudes evaluates it for the Gaussian acceleration
+curves (scans.gaussian_accel_curve).
 
 Engine and reference.  batched_return_amplitudes, folded_return_amplitudes,
 momentum_history and train_matrix all run one loop, _kick_columns: each
@@ -604,6 +616,37 @@ def _fold_block(
     for row in terms[1:]:
         total += row
     return free[i0] * total
+
+
+def resonant_return_amplitudes(
+    n_kicks: int,
+    phi_d: float,
+    betas,
+    accels,
+    params: PhysicalParams,
+) -> np.ndarray:
+    """Echo return amplitudes c_{q=0} at the resonance period T_T, in
+    closed form (module docstring), with the broadcast shape of (betas,
+    accels) and the phase convention of batched_return_amplitudes (the
+    a^2 action term dropped).  Exact on the infinite ladder, so no ladder
+    or gate is involved.  Non-finite inputs raise ValueError.
+    """
+    shape, (t, bet, acc) = _flat_columns(
+        "betas and accels", params.talbot_time, betas, accels
+    )
+    if not (0.0 <= phi_d < math.inf):
+        raise ValueError(f"phi_d must be finite and >= 0, got {phi_d!r}")
+    # The engine's own flight on rungs q = 0, 1: their ratio is r_n.
+    phase, step = _accelerated_flight(np.arange(2), t, bet, acc, params)
+    total = np.zeros(t.size, dtype=np.complex128)
+    shift = np.ones(t.size, dtype=np.complex128)
+    common = np.ones(t.size, dtype=np.complex128)
+    for sign in (+1.0,) * n_kicks + (-1.0,) * n_kicks:
+        total += sign * shift
+        shift *= phase[1] / phase[0]
+        common *= phase[0]
+        phase *= step
+    return (common * special.j0(phi_d * np.abs(total))).reshape(shape)
 
 
 @dataclass(frozen=True)

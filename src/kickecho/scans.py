@@ -39,6 +39,7 @@ from .ladder import (
     WavepacketSpec,
     batched_return_amplitudes,
     folded_return_amplitudes,
+    resonant_return_amplitudes,
 )
 from .params import PhysicalParams, v0_from_gamma
 
@@ -401,7 +402,6 @@ def gaussian_accel_curve(
     params: PhysicalParams,
     tol: float = 1e-3,
     max_density: float = 64.0,
-    q_max: int | None = None,
 ) -> np.ndarray:
     """Gaussian-wavepacket output at each acceleration, at resonance period.
 
@@ -410,59 +410,31 @@ def gaussian_accel_curve(
     average of the fiber return amplitudes (the wavepacket return
     probability, as in gaussian_output), evaluated on a spike-resolving
     quadrature grid whose density is doubled until the curve is stable
-    to tol (relative to its maximum).
-
-    The grids nest: doubling the density halves the step exactly, so
-    every second node of a grid is, bit for bit, a node of the grid
-    before it.  Only the new (odd) nodes are run; the amplitudes of the
-    others are reused.  The engine's amplitudes do not depend on how
-    columns are batched, so the curve is bit-identical to running every
-    node of the final grid.
+    to tol (relative to its maximum).  At the resonance period every
+    fiber's return amplitude has the closed form of
+    resonant_return_amplitudes, so a whole grid costs O(N) operations per
+    (beta, accel) node and no ladder is run.
     """
     if max_density < 16.0:
         raise ValueError(
             f"max_density must be at least 16 (two grids to compare), got {max_density!r}"
         )
     accels = np.atleast_1d(np.asarray(accels, dtype=np.float64))
-
-    def run(betas: np.ndarray) -> np.ndarray:
-        return batched_return_amplitudes(
-            n_kicks,
-            phi_d,
-            params.talbot_time,
-            betas[None, :],
-            accels[:, None],
-            params,
-            q_max,
-        )
-
     density = 8.0
-    prev = prev_betas = prev_amps = None
+    prev = None
     while density <= max_density:
         betas, weights = _beta_average_nodes(
             n_kicks, phi_d, wavepacket, params, density
         )
-        # Node j of the grid -m..m sits at index j + m.  The new half-width
-        # is twice the previous one, or one less, so the even nodes are the
-        # previous grid without, in the second case, its two end nodes.
-        m = betas.size // 2
-        first_even = m % 2
-        amps = None
-        if prev_betas is not None:
-            drop = prev_betas.size // 2 - m // 2
-            kept = slice(drop, prev_betas.size - drop)
-            if np.array_equal(betas[first_even::2], prev_betas[kept]):
-                amps = np.empty((accels.size, betas.size), dtype=np.complex128)
-                amps[:, first_even::2] = prev_amps[:, kept]
-                amps[:, 1 - first_even :: 2] = run(betas[1 - first_even :: 2])
-        if amps is None:
-            amps = run(betas)
+        amps = resonant_return_amplitudes(
+            n_kicks, phi_d, betas[None, :], accels[:, None], params
+        )
         vals = np.abs(amps @ weights) ** 2
         if prev is not None:
             drift = float(np.max(np.abs(vals - prev)))
             if drift <= tol * max(float(vals.max()), 1e-12):
                 return vals
-        prev, prev_betas, prev_amps = vals, betas, amps
+        prev = vals
         density *= 2.0
     raise ConvergenceError(
         f"ensemble average not stable to {tol:g} at grid density {max_density:g}",
@@ -484,7 +456,8 @@ def gaussian_accel_scan(
     The curve is even in acceleration: parity maps the fiber return
     amplitudes as c(a, beta) = c(-a, -beta) and the Gaussian weights are
     even in beta, so only nonnegative accelerations are evaluated and
-    the curve is mirrored.  An explicit window must therefore be
+    the curve is mirrored (the closed form of resonant_return_amplitudes
+    keeps this symmetry).  An explicit window must therefore be
     symmetric about zero.  The peak is measured exactly as in `scan`,
     including the widen-once fallback.
     """

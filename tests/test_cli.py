@@ -115,6 +115,19 @@ def test_validation_failure_writes_no_files(tmp_path, capsys):
     assert not os.path.exists(out)
     assert not os.path.exists(sidecar_path(out))
     assert capsys.readouterr().err.startswith("error: config:")
+    # Requests of unbounded cost fail the same way, before any engine runs.
+    for kind, *junk in (
+        ("echo", "n_kicks=100000", "phi_d=0.5"),
+        ("echo", "n_kicks=4", "phi_d=100000"),
+        ("tau-min-sweep", "gamma=10", "n_list=4,100000"),
+        ("tau-min-sweep", "gamma=100000", "n_list=4"),
+        ("finite-scan", "n_kicks=4", "gamma=1000", "tau_p_us=2"),
+        ("peak-shift", "n_kicks=100000", "gamma=10", "tau_p_us=2"),
+    ):
+        settings = [arg for value in junk for arg in ("--set", value)]
+        assert run_cli(kind, *settings, "--out", out) == 2
+        assert "must be at most" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
     # An output path its own sidecar would overwrite is a config error.
     out = str(tmp_path / "echo.json")
     assert run_cli("echo", "--set", "n_kicks=4", "--set", "phi_d=0.5", "--out", out) == 2

@@ -35,6 +35,7 @@ from kickecho.ladder import (
     ground_state,
     kick_kernel,
     momentum_history,
+    resonant_return_amplitudes,
     run_sequence,
     train_matrix,
 )
@@ -238,6 +239,14 @@ def test_batched_rejects_non_finite_inputs(params):
     for periods, betas in (([t, math.inf], 0.0), (t, [0.0, math.nan])):
         with pytest.raises(ValueError, match="finite"):
             folded_return_amplitudes(4, 0.5, periods, betas, params)
+    for phi_d, betas, accels in (
+        (0.5, [0.0, math.nan], 0.0),
+        (0.5, 0.0, [0.0, -math.inf]),
+        (math.inf, 0.0, 0.0),
+        (math.nan, 0.0, 0.0),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            resonant_return_amplitudes(4, phi_d, betas, accels, params)
     for q_max in (-1, 2.5, EDGE_BAND, 7.0):
         with pytest.raises(ValueError, match="q_max"):
             batched_return_amplitudes(4, 0.5, t, 0.0, 0.0, params, q_max)
@@ -316,6 +325,30 @@ def test_folded_echo_on_narrow_ladders(params, beta):
     assert abs(folded[0] - state.amplitude(0)) <= 1e-10
     with pytest.raises(TruncationError, match="edge-band population"):
         folded_return_amplitudes(10, 1.5, params.talbot_time, beta, params, q_max=12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_kicks=st.integers(min_value=1, max_value=40),
+    phi_d=st.floats(min_value=0.0, max_value=1.5),
+    beta=st.one_of(st.just(0.0), st.floats(min_value=-0.5, max_value=0.5)),
+    accel=st.one_of(st.just(0.0), st.floats(min_value=-1.0, max_value=1.0)),
+)
+def test_resonant_closed_form_matches_the_engines(params, n_kicks, phi_d, beta, accel):
+    """At the resonance period the echo is one kick of strength
+    phi_d |S|: the closed form equals the two-train engine on a ladder
+    twice the default width (complex, same dropped a^2 phase) and the
+    reference run_sequence (in magnitude; it keeps the a^2 phase)."""
+    closed = resonant_return_amplitudes(n_kicks, phi_d, beta, accel, params)
+    engine = batched_return_amplitudes(
+        n_kicks, phi_d, params.talbot_time, beta, accel, params,
+        2 * auto_q_max(n_kicks, phi_d),
+    )
+    assert abs(closed[0] - engine[0]) <= 1e-10
+    state, _ = run_sequence(
+        SequenceSpec(n_kicks, phi_d, params.talbot_time, accel), beta, params
+    )
+    assert abs(abs(closed[0]) - abs(state.amplitude(0))) <= 1e-10
 
 
 def test_batched_accelerated_matches_scalar_up_to_global_phase(params):

@@ -18,8 +18,10 @@ from kickecho import scans
 from kickecho.ladder import (
     SequenceSpec,
     WavepacketSpec,
+    auto_q_max,
     batched_return_amplitudes,
     gaussian_output,
+    resonant_return_amplitudes,
 )
 from kickecho.scans import (
     ScanCurve,
@@ -159,28 +161,28 @@ def test_scan_threads_are_capped_at_the_core_count(params, monkeypatch):
     assert np.array_equal(serial.output, many.output)
 
 
-def test_accel_curve_runs_only_the_new_nodes(params, monkeypatch):
-    """Doubling the grid density reuses every even node: the second engine
-    call gets only the 80 odd nodes of the 161-node grid, and the curve is
-    bit-identical to running every node of the final grid at once."""
+def test_accel_curve_matches_the_two_train_engine(params, monkeypatch):
+    """The closed-form curve runs every node of each grid (density 8, then
+    16) and equals |amps @ weights|^2 of the two-train engine on the final
+    grid, run on a ladder twice the default width, to 1e-11."""
     n_kicks, phi_d, wp = 10, 0.5, WavepacketSpec(sigma_x=1e-4)
     accels = np.linspace(0.0, 2.0 * fwhm_accel(n_kicks, phi_d, params), 3)
     seen = []
 
     def spy(*args, **kwargs):
-        seen.append(np.asarray(args[3]))
-        return batched_return_amplitudes(*args, **kwargs)
+        seen.append(np.asarray(args[2]))
+        return resonant_return_amplitudes(*args, **kwargs)
 
-    monkeypatch.setattr(scans, "batched_return_amplitudes", spy)
+    monkeypatch.setattr(scans, "resonant_return_amplitudes", spy)
     vals = gaussian_accel_curve(n_kicks, phi_d, accels, wp, params)
-    assert [b.shape for b in seen] == [(1, 81), (1, 80)]
+    assert [b.shape for b in seen] == [(1, 81), (1, 161)]
     betas, weights = scans._beta_average_nodes(n_kicks, phi_d, wp, params, 16.0)
-    assert np.array_equal(seen[1][0], betas[1::2])
-    assert np.array_equal(seen[0][0], betas[0::2])
+    assert np.array_equal(seen[1][0], betas)
     amps = batched_return_amplitudes(
-        n_kicks, phi_d, params.talbot_time, betas[None, :], accels[:, None], params
+        n_kicks, phi_d, params.talbot_time, betas[None, :], accels[:, None], params,
+        2 * auto_q_max(n_kicks, phi_d),
     )
-    assert np.array_equal(vals, np.abs(amps @ weights) ** 2)
+    assert np.max(np.abs(vals - np.abs(amps @ weights) ** 2)) <= 1e-11
 
 
 def test_scan_widens_a_too_narrow_window_once(params):
