@@ -41,6 +41,7 @@ from .ladder import (
     batched_return_amplitudes,
     gaussian_output,
     momentum_history,
+    resonant_return_amplitudes,
 )
 from .params import HBAR, PhysicalParams, v0_from_gamma
 from .scans import (
@@ -258,6 +259,11 @@ def _run_echo(config: RunConfig):
         output = gaussian_output(
             spec, WavepacketSpec(sigma_x=sigma_um * 1e-6), params
         )
+    elif spec.period == params.talbot_time:
+        amp = resonant_return_amplitudes(
+            spec.n_kicks, spec.phi_d, config["beta"], spec.accel, params
+        )[0]
+        output = float(abs(amp) ** 2)
     else:
         amp = batched_return_amplitudes(
             spec.n_kicks, spec.phi_d, spec.period, config["beta"], spec.accel, params

@@ -37,13 +37,16 @@ class ConfigError(ValueError):
 
 # Caps on the work one run may request: kicks or pulses per train (also
 # each n_list entry), the strength of one kick (phi_d, or the finite-pulse
-# area V0 tau_p / (2 hbar) that gamma and tau_p_us give) and the depth
-# gamma, which sizes the finite-pulse ladder of tau-min-sweep.  Each is at
-# least ten times the largest value that the benchmark, the acceptance
-# tests and the scripts use (200 kicks, phi_d = 2, area 5.6, gamma = 100).
+# area V0 tau_p / (2 hbar) that gamma and tau_p_us give), the depth gamma,
+# which sizes the finite-pulse ladder of tau-min-sweep, and the strength
+# n_kicks * phi_d of one delta-kick train, which sizes the delta-kick ladder
+# (auto_q_max).  Each is at least ten times the largest value that the
+# benchmark, the acceptance tests and the scripts use (200 kicks,
+# phi_d = 2, area 5.6, gamma = 100, train strength 204).
 MAX_KICKS = 2000
 MAX_PULSE_AREA = 100.0
 MAX_GAMMA = 1000.0
+MAX_TRAIN_STRENGTH = 2500.0
 
 
 _KEY_TYPES: dict[str, type] = {
@@ -236,6 +239,13 @@ def _check_bounds(values: dict[str, Any]) -> None:
     at_most("gamma", MAX_GAMMA)
     if values.get("phi_d") is not None and values["phi_d"] < 0.0:
         raise ConfigError(f"phi_d must be nonnegative, got {values['phi_d']!r}")
+    if values.get("phi_d") is not None and values.get("n_kicks") is not None:
+        strength = values["n_kicks"] * values["phi_d"]
+        if not strength <= MAX_TRAIN_STRENGTH:
+            raise ConfigError(
+                f"train strength n_kicks * phi_d = {strength:.4g} must be at most "
+                f"{MAX_TRAIN_STRENGTH:g}"
+            )
     if values.get("tau_p_us") is not None and values["tau_p_us"] < 0.0:
         raise ConfigError(
             f"tau_p_us must be nonnegative, got {values['tau_p_us']!r}"

@@ -34,16 +34,17 @@ even in q, so folded_return_amplitudes runs those columns on the even
 sector q = 0 .. q_max.  Mirrored rows c_D .. c_1 ahead of c_0, D the
 kernel half-width (at most q_max), keep the kick a plain convolution;
 there the norm is |c_0|^2 + 2 sum_{q>=1} |c_q|^2.  scan-eps (beta = 0)
-runs on the even sector and scan-p0 on the folded full ladder.
-Accelerated plane-wave columns, the plane-wave echo and gaussian_output
-run both trains, and momentum_history records every kick of both; the
-Gaussian acceleration curves need no ladder (below).  The folded run
-gates only the forward train, so it can pass where the reversed train
-fails the edge gate.  That happens to the N = 40, phi_d = 0.5,
-sigma_x = 100 um Gaussian echo, which exits 3 on two trains; its folded
-65-node rule returns I = 0.0751.  The benchmark keeps that echo as an
-operation that must exit 3, so the Gaussian path stays on two trains
-until the fiber quadrature and that operation change together.
+runs on the even sector, and a p0 scan away from the resonance period
+on the folded full ladder.  Accelerated columns away from the resonance
+period, the detuned plane-wave echo and gaussian_output run both
+trains, and momentum_history records every kick of both.  Plane-wave columns at exactly the resonance period need no
+ladder (below).  The folded run gates only the forward train, so it can
+pass where the reversed train fails the edge gate.  That happens to the
+N = 40, phi_d = 0.5, sigma_x = 100 um Gaussian echo, which exits 3 on
+two trains; its folded 65-node rule returns I = 0.0751.  The benchmark
+keeps that echo as an operation that must exit 3, so the Gaussian path
+stays on two trains until the fiber quadrature and that operation
+change together.
 
 Resonant fibers.  At the period T = T_T the flight of period n is
 linear in the rung, F_n(q) = F_n(0) r_n^q with |r_n| = 1, a translation
@@ -54,8 +55,18 @@ one of strength phi_d |S|, S = sum_n s_n r_1 ... r_{n-1}, so
 
 exact on the infinite ladder for any beta and acceleration (Fishman,
 Guarneri and Rebuzzini, Phys. Rev. Lett. 89, 084101 (2002)).
-resonant_return_amplitudes evaluates it for the Gaussian acceleration
-curves (scans.gaussian_accel_curve).
+resonant_return_amplitudes evaluates it for every plane-wave column at
+exactly T_T: p0 and accel scans at any acceleration (scans._outputs, so
+CLI scan-p0 and plane-wave scan-accel), the plane-wave echo with
+eps_ns = 0 and period_multiple = 1 (cli._run_echo), and the fibers of
+the Gaussian acceleration curves (scans.gaussian_accel_curve).  It is
+also the more accurate: on the 161 samples of the default p0 window at
+N = 150, phi_d = 0.6, its outputs are off a 40-digit evaluation by at
+most 1.1e-11, the folded ladder's by 2.4e-10.  Two resonant paths keep
+the ladder.  momentum_history records every rung after every kick; the
+same populations as a table of J_q(phi_d |S_k|)^2 took 0.42 s against
+the ladder's 0.045 s at N = 100, phi_d = 2.04.  gaussian_output stays on
+two trains for the benchmark echo named above.
 
 Engine and reference.  batched_return_amplitudes, folded_return_amplitudes,
 momentum_history and train_matrix all run one loop, _kick_columns: each
@@ -150,6 +161,16 @@ def _check_q_max(q_max: int) -> int:
     if not (isinstance(q_max, numbers.Integral) and q_max >= EDGE_BAND + 1):
         raise ValueError(f"q_max must be an integer >= {EDGE_BAND + 1}, got {q_max!r}")
     return q_max
+
+
+def _check_n_kicks(n_kicks: int) -> int:
+    """n_kicks if it is a positive integer (not a bool), else ValueError:
+    an empty train would return c_0 = 1 without running anything."""
+    if isinstance(n_kicks, bool) or not (
+        isinstance(n_kicks, numbers.Integral) and n_kicks >= 1
+    ):
+        raise ValueError(f"n_kicks must be a positive integer, got {n_kicks!r}")
+    return n_kicks
 
 
 def basis_state(beta: float, q_max: int, q: int) -> LadderState:
@@ -349,9 +370,13 @@ def run_sequence(
     Returns (final state, output) where output = |c_{q=0}|^2 is the
     probability of having returned to the initial momentum.  This is the
     plain reference for the engine below: one apply_kick and one free
-    flight per period, with the exact accelerated action.
+    flight per period, with the exact accelerated action.  Unless q_max
+    is given, the ladder is sized for all 2*n_kicks kicks: the reference
+    does not assume that the reversed train walks the state back, which
+    fails off beta = 0, off resonance and under acceleration (at
+    resonance |S_k| of the closed form can exceed n_kicks).
     """
-    state = ground_state(beta, auto_q_max(seq.n_kicks, seq.phi_d) if q_max is None else q_max)
+    state = ground_state(beta, auto_q_max(2 * seq.n_kicks, seq.phi_d) if q_max is None else q_max)
     for sign, t_offset in ((+1, 0.0), (-1, seq.n_kicks * seq.period)):
         for n in range(seq.n_kicks):
             state = apply_kick(state, seq.phi_d, sign)
@@ -515,12 +540,13 @@ def batched_return_amplitudes(
     the columns are batched, ordered or split across workers.  The edge
     gate runs after every kick and the norm gate at the end of every
     block; a column failing either raises TruncationError, which reports
-    the worst value within the failing block.  Non-finite inputs raise
-    ValueError.
+    the worst value within the failing block.  Non-finite inputs, and an
+    n_kicks that is not a positive integer, raise ValueError.
     """
     shape, (t, bet, acc) = _flat_columns(
         "periods, betas and accels", periods, betas, accels
     )
+    n_kicks = _check_n_kicks(n_kicks)
     q_max = auto_q_max(n_kicks, phi_d) if q_max is None else _check_q_max(q_max)
     qs = np.arange(-q_max, q_max + 1)
     kernels = (kick_kernel(phi_d, +1),) * n_kicks + (kick_kernel(phi_d, -1),) * n_kicks
@@ -558,9 +584,11 @@ def folded_return_amplitudes(
     bit-identical however the columns are batched, ordered or split: the
     sum over sites is a fixed-order loop over rows.  The edge gate runs
     after every kick and the norm gate on the forward state of every
-    block.  Non-finite inputs raise ValueError.
+    block.  Non-finite inputs, and an n_kicks that is not a positive
+    integer, raise ValueError.
     """
     shape, (t, bet) = _flat_columns("periods and betas", periods, betas)
+    n_kicks = _check_n_kicks(n_kicks)
     q_max = auto_q_max(n_kicks, phi_d) if q_max is None else _check_q_max(q_max)
     kernel = kick_kernel(phi_d, +1)
     # The even sector holds min(D, q_max) mirrored rows c_D .. c_1 ahead of
@@ -629,11 +657,13 @@ def resonant_return_amplitudes(
     closed form (module docstring), with the broadcast shape of (betas,
     accels) and the phase convention of batched_return_amplitudes (the
     a^2 action term dropped).  Exact on the infinite ladder, so no ladder
-    or gate is involved.  Non-finite inputs raise ValueError.
+    or gate is involved.  Non-finite inputs, and an n_kicks that is not
+    a positive integer, raise ValueError.
     """
     shape, (t, bet, acc) = _flat_columns(
         "betas and accels", params.talbot_time, betas, accels
     )
+    n_kicks = _check_n_kicks(n_kicks)
     if not (0.0 <= phi_d < math.inf):
         raise ValueError(f"phi_d must be finite and >= 0, got {phi_d!r}")
     # The engine's own flight on rungs q = 0, 1: their ratio is r_n.

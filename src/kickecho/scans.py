@@ -232,8 +232,14 @@ def _outputs(
     values: np.ndarray,
 ) -> np.ndarray:
     """Outputs |c_{q=0}|^2 along one control axis, from the engine that spec
-    selects; delta-kick scans at zero acceleration fold the echo onto its
-    forward train."""
+    selects.
+
+    Delta-kick scans of p0 or accel at exactly the resonance period take
+    the closed form of resonant_return_amplitudes, whatever spec.accel;
+    no ladder runs.  The other zero-acceleration delta-kick scans (eps at
+    any period, p0 off resonance) fold the echo onto its forward train,
+    and the rest run both trains.
+    """
     periods, betas, accels = spec.period, 0.0, spec.accel
     if axis == "eps":
         periods = spec.period + values
@@ -243,7 +249,9 @@ def _outputs(
         accels = values
     else:
         raise ValueError(f"unknown control axis {axis!r}")
-    if isinstance(spec, SequenceSpec) and axis != "accel" and spec.accel == 0.0:
+    if isinstance(spec, SequenceSpec) and axis != "eps" and spec.period == params.talbot_time:
+        amps = resonant_return_amplitudes(spec.n_kicks, spec.phi_d, betas, accels, params)
+    elif isinstance(spec, SequenceSpec) and axis != "accel" and spec.accel == 0.0:
         amps = folded_return_amplitudes(spec.n_kicks, spec.phi_d, periods, betas, params)
     elif isinstance(spec, SequenceSpec):
         amps = batched_return_amplitudes(

@@ -10,7 +10,12 @@ from kickecho.analytic import fwhm_accel, fwhm_eps, fwhm_p0
 from kickecho.cli import main, sidecar_path
 from kickecho.config import resolve
 from kickecho.finite_pulse import FinitePulseSpec
-from kickecho.ladder import SequenceSpec, WavepacketSpec
+from kickecho.ladder import (
+    SequenceSpec,
+    WavepacketSpec,
+    batched_return_amplitudes,
+    resonant_return_amplitudes,
+)
 from kickecho.params import v0_from_gamma
 from kickecho.scans import gaussian_accel_scan, scan
 
@@ -41,6 +46,26 @@ def test_echo_smoke_writes_csv_and_sidecar(tmp_path, capsys):
     assert side["derived"]["talbot_time_s"] == pytest.approx(6.4732e-5, rel=1e-3)
     assert side["metrics"]["I"] == pytest.approx(1.0, abs=1e-10)
     assert "wrote" in capsys.readouterr().out
+
+
+def test_plane_wave_echo_engines(tmp_path):
+    """A plane-wave echo at the resonance period takes the closed form,
+    for any beta and acceleration; a detuned one runs both trains.  The
+    CSV holds exactly the library's |c_0|^2."""
+    params = resolve("echo", {"n_kicks": 1, "phi_d": 1.0}).physical_params()
+    t = params.talbot_time
+    cases = [
+        (("beta=0.13", "accel=0.02"),
+         resonant_return_amplitudes(7, 0.6, 0.13, 0.02, params)),
+        (("beta=0.13", "accel=0.02", "eps_ns=2"),
+         batched_return_amplitudes(7, 0.6, t + 2e-9, 0.13, 0.02, params)),
+    ]
+    for i, (settings, amps) in enumerate(cases):
+        out = str(tmp_path / f"echo{i}.csv")
+        argv = [arg for value in ("n_kicks=7", "phi_d=0.6", *settings) for arg in ("--set", value)]
+        assert run_cli("echo", *argv, "--out", out) == 0
+        side = json.load(open(sidecar_path(out), encoding="utf-8"))
+        assert side["metrics"]["I"] == float(abs(amps[0]) ** 2)
 
 
 def test_sidecar_round_trip_reproduces_bytes(tmp_path):
@@ -119,6 +144,8 @@ def test_validation_failure_writes_no_files(tmp_path, capsys):
     for kind, *junk in (
         ("echo", "n_kicks=100000", "phi_d=0.5"),
         ("echo", "n_kicks=4", "phi_d=100000"),
+        ("momentum-history", "n_kicks=2000", "phi_d=100"),
+        ("scan-p0", "n_kicks=1000", "phi_d=2.6"),
         ("tau-min-sweep", "gamma=10", "n_list=4,100000"),
         ("tau-min-sweep", "gamma=100000", "n_list=4"),
         ("finite-scan", "n_kicks=4", "gamma=1000", "tau_p_us=2"),

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kickecho import ladder
@@ -247,6 +247,14 @@ def test_batched_rejects_non_finite_inputs(params):
     ):
         with pytest.raises(ValueError, match="finite"):
             resonant_return_amplitudes(4, phi_d, betas, accels, params)
+    # An empty or negative train would return c_0 = 1 without a kick.
+    for n_kicks in (0, -3, 2.5, 4.0, True):
+        with pytest.raises(ValueError, match="n_kicks"):
+            batched_return_amplitudes(n_kicks, 0.5, t, 0.0, 0.0, params)
+        with pytest.raises(ValueError, match="n_kicks"):
+            folded_return_amplitudes(n_kicks, 0.5, t, 0.0, params)
+        with pytest.raises(ValueError, match="n_kicks"):
+            resonant_return_amplitudes(n_kicks, 0.5, 0.0, 0.0, params)
     for q_max in (-1, 2.5, EDGE_BAND, 7.0):
         with pytest.raises(ValueError, match="q_max"):
             batched_return_amplitudes(4, 0.5, t, 0.0, 0.0, params, q_max)
@@ -334,6 +342,9 @@ def test_folded_echo_on_narrow_ladders(params, beta):
     beta=st.one_of(st.just(0.0), st.floats(min_value=-0.5, max_value=0.5)),
     accel=st.one_of(st.just(0.0), st.floats(min_value=-1.0, max_value=1.0)),
 )
+# Both spread past a one-train ladder: |S_k| exceeds n_kicks.
+@example(n_kicks=30, phi_d=1.0, beta=0.0, accel=0.03125)
+@example(n_kicks=21, phi_d=1.0, beta=0.0078125, accel=0.0)
 def test_resonant_closed_form_matches_the_engines(params, n_kicks, phi_d, beta, accel):
     """At the resonance period the echo is one kick of strength
     phi_d |S|: the closed form equals the two-train engine on a ladder

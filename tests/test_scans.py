@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from kickecho.analytic import X_HALF, fwhm_accel, fwhm_eps, fwhm_p0
@@ -22,6 +24,7 @@ from kickecho.ladder import (
     batched_return_amplitudes,
     gaussian_output,
     resonant_return_amplitudes,
+    run_sequence,
 )
 from kickecho.scans import (
     ScanCurve,
@@ -131,6 +134,44 @@ def test_p0_scan_is_bit_identical_across_workers(params):
     assert np.array_equal(a.output, b.output)
     assert np.array_equal(a.output, c.output)
     assert a.fwhm == b.fwhm == c.fwhm
+
+
+def test_accel_scan_is_bit_identical_across_workers(params):
+    spec = SequenceSpec(12, 0.6, params.talbot_time)
+    a, b, c = (scan("accel", spec, params, n_points=65, workers=w) for w in (1, 2, 3))
+    assert np.array_equal(a.output, b.output)
+    assert np.array_equal(a.output, c.output)
+    assert a.fwhm == b.fwhm == c.fwhm
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n_kicks=st.integers(min_value=4, max_value=40),
+    phi_d=st.floats(min_value=0.3, max_value=1.5),
+    axis=st.sampled_from(["p0", "accel"]),
+    frac=st.one_of(st.just(0.0), st.floats(min_value=-0.25, max_value=0.25)),
+)
+@example(n_kicks=150, phi_d=0.6, axis="p0", frac=0.0)  # the benchmark's longest p0 scan
+def test_resonant_scans_take_the_closed_form(params, n_kicks, phi_d, axis, frac):
+    """p0 scans (at any spec.accel, here up to a quarter of the
+    acceleration width) and accel scans at the resonance period run no
+    ladder: their outputs are |resonant_return_amplitudes|^2 on the same
+    samples, bit for bit, and agree with run_sequence on every eighth
+    sample within 1e-9."""
+    accel = frac * fwhm_accel(n_kicks, phi_d, params) if axis == "p0" else 0.0
+    spec = SequenceSpec(n_kicks, phi_d, params.talbot_time, accel)
+    curve = scan(axis, spec, params, n_points=33)
+    if axis == "p0":
+        columns = [(beta, accel) for beta in curve.control / params.recoil_momentum]
+    else:
+        columns = [(0.0, a) for a in curve.control]
+    betas, accels = np.array(columns).T
+    closed = resonant_return_amplitudes(n_kicks, phi_d, betas, accels, params)
+    # ScanCurve clips rounding excess above 1, which the clip here mirrors.
+    assert np.array_equal(curve.output, np.clip(np.abs(closed) ** 2, 0.0, 1.0))
+    for (beta, a), output in list(zip(columns, curve.output))[::8]:
+        seq = SequenceSpec(n_kicks, phi_d, params.talbot_time, a)
+        assert abs(run_sequence(seq, beta, params)[1] - output) <= 1e-9
 
 
 def test_scan_threads_are_capped_at_the_core_count(params, monkeypatch):
