@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from . import _bessel
 from .errors import SingularCoefficientError
 from .params import HBAR, PhysicalParams
 
@@ -41,7 +41,7 @@ SINGULAR_TOL = 1e-300
 
 def ladder_weights(n_kicks: int, phi_d: float, q) -> np.ndarray:
     """Magnitudes J_q(n_kicks*phi_d) shared by both trains' coefficients."""
-    return special.jv(np.asarray(q), n_kicks * phi_d)
+    return _bessel.jn(np.asarray(q), n_kicks * phi_d)
 
 
 def eps_phase_slopes(
@@ -66,13 +66,13 @@ def eps_phase_slopes(
     q = np.asarray(q)
     n = n_kicks
     z = n * phi_d
-    jq = special.jv(q, z)
+    jq = _bessel.jn(q, z)
     if np.any(np.abs(jq) < SINGULAR_TOL):
         bad = np.asarray(q)[np.abs(jq) < SINGULAR_TOL]
         raise SingularCoefficientError(
             f"J_q({z!r}) vanishes at q = {bad.tolist()}; detuning phase slope undefined"
         )
-    ratio = special.jv(q - 1, z) / jq
+    ratio = _bessel.jn(q - 1, z) / jq
     pref = params.kappa**2 * HBAR / (2.0 * params.mass)
     common = (n - 1.0 / n) * q / 6.0 - phi_d * (n**2 - 1.0) * ratio / 6.0
     theta = pref * (common - (n / 3.0 + 0.5 + 1.0 / (6.0 * n)) * q**2)
@@ -170,7 +170,7 @@ def output_first_order(
     if sum(x != 0.0 for x in (eps, p0, accel)) > 1:
         raise ValueError("at most one of eps, p0, accel may be nonzero")
     qs = _sum_q_range(n_kicks, phi_d)
-    w = special.jv(qs, n_kicks * phi_d)
+    w = _bessel.jn(qs, n_kicks * phi_d)
     keep = w**2 >= TERM_TOL
     qs, w = qs[keep], w[keep]
     if eps != 0.0:
@@ -204,7 +204,7 @@ def i_eps_asymptotic(n_kicks: int, phi_d: float, eps, params: PhysicalParams):
         * np.asarray(eps)
         / (6.0 * params.mass)
     )
-    return special.j0(arg) ** 2
+    return _bessel.j0(arg) ** 2
 
 
 def i_p0_closed(n_kicks: int, phi_d: float, p0, params: PhysicalParams):
@@ -214,7 +214,7 @@ def i_p0_closed(n_kicks: int, phi_d: float, p0, params: PhysicalParams):
     """
     alpha = n_kicks * params.kappa * params.talbot_time * np.asarray(p0) / params.mass
     arg = 2.0 * n_kicks * phi_d * np.abs(np.sin(0.5 * alpha))
-    return special.j0(arg) ** 2
+    return _bessel.j0(arg) ** 2
 
 
 def i_p0_linearized(n_kicks: int, phi_d: float, p0, params: PhysicalParams):
@@ -223,7 +223,7 @@ def i_p0_linearized(n_kicks: int, phi_d: float, p0, params: PhysicalParams):
     arg = (
         n_kicks**2 * phi_d * params.kappa * params.talbot_time * np.asarray(p0) / params.mass
     )
-    return special.j0(arg) ** 2
+    return _bessel.j0(arg) ** 2
 
 
 def i_accel_closed(n_kicks: int, phi_d: float, accel, params: PhysicalParams):
@@ -236,7 +236,7 @@ def i_accel_closed(n_kicks: int, phi_d: float, accel, params: PhysicalParams):
         * np.asarray(accel) / 2.0
     )
     arg = 2.0 * n_kicks * phi_d * np.abs(np.sin(0.5 * alpha))
-    return special.j0(arg) ** 2
+    return _bessel.j0(arg) ** 2
 
 
 def i_accel_linearized(n_kicks: int, phi_d: float, accel, params: PhysicalParams):
@@ -246,7 +246,7 @@ def i_accel_linearized(n_kicks: int, phi_d: float, accel, params: PhysicalParams
         n_kicks**2 * (2.0 * n_kicks - 1.0) * phi_d * np.asarray(accel)
         * params.talbot_time**2 * params.kappa / 2.0
     )
-    return special.j0(arg) ** 2
+    return _bessel.j0(arg) ** 2
 
 
 def fwhm_eps(n_kicks: int, phi_d: float, params: PhysicalParams) -> float:

@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, special
 
 from .errors import ConvergenceError, GridResolutionError
 from .ladder import (
@@ -172,9 +171,14 @@ def pulse_propagator(
     even: bool = False,
 ) -> np.ndarray:
     """Dense unitary exp(-i*H*tau_p/hbar) via tridiagonal eigendecomposition
-    (on the even sector q = 0 .. q_max when even=True, see pulse_bands)."""
+    (on the even sector q = 0 .. q_max when even=True, see pulse_bands).
+
+    scipy is imported here, so that only the finite-pulse kinds load it:
+    dense np.linalg.eigh took 4.7x as long at 321 sites."""
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off = pulse_bands(spec, beta, q_max, sign, params, even)
-    w, v = linalg.eigh_tridiagonal(diag, off)
+    w, v = eigh_tridiagonal(diag, off)
     phases = np.exp(-1j * w * spec.tau_p)
     return (v * phases) @ v.T
 

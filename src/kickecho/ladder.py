@@ -87,8 +87,8 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import special
 
+from . import _bessel
 from .errors import ConvergenceError, TruncationError
 from .params import HBAR, PhysicalParams
 
@@ -208,12 +208,11 @@ def kick_kernel(phi_d: float, sign: int = +1) -> np.ndarray:
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     d_max = max(4, int(math.ceil(phi_d + 12.0 + 8.0 * phi_d ** (1.0 / 3.0))))
-    orders = np.arange(0, d_max + 1)
-    j = special.jv(orders, phi_d)
+    j = _bessel.jn_upto(d_max, phi_d)
     keep = np.nonzero(np.abs(j) >= KERNEL_TOL)[0]
     d_max = int(keep[-1]) if keep.size else 0
     d = np.arange(-d_max, d_max + 1)
-    jd = special.jv(np.abs(d), phi_d) * np.where((d < 0) & (d % 2 != 0), -1.0, 1.0)
+    jd = j[np.abs(d)] * np.where((d < 0) & (d % 2 != 0), -1.0, 1.0)
     return (sign * -1j) ** d * jd
 
 
@@ -676,7 +675,7 @@ def resonant_return_amplitudes(
         shift *= phase[1] / phase[0]
         common *= phase[0]
         phase *= step
-    return (common * special.j0(phi_d * np.abs(total))).reshape(shape)
+    return (common * _bessel.j0(phi_d * np.abs(total))).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -704,9 +703,14 @@ def gaussian_beta_nodes(
     """Gauss-Hermite quadrature rule for averaging over the beta fibers.
 
     Returns (betas, weights) such that sum(weights * f(betas)) approximates
-    the Gaussian-weighted average of f; weights sum to 1.
+    the Gaussian-weighted average of f; weights sum to 1.  The rule comes
+    from scipy.special.roots_hermite, imported here so that only the
+    Gaussian echoes load scipy: numpy's hermgauss returns NaN weights from
+    513 nodes on, and the node count doubles up to 4097.
     """
-    x, w = special.roots_hermite(n_nodes)
+    from scipy.special import roots_hermite
+
+    x, w = roots_hermite(n_nodes)
     sb = wavepacket.sigma_beta(params)
     return math.sqrt(2.0) * sb * x, w / math.sqrt(math.pi)
 

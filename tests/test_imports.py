@@ -1,0 +1,85 @@
+"""Which kinds load scipy: each CLI run in a fresh interpreter.
+
+The delta-kick kinds evaluate their Bessel functions with the package's
+own numpy code, so a fresh process that runs one loads no scipy module at
+all.  The finite-pulse kinds load scipy.linalg for the tridiagonal
+eigensolver, and the Gaussian echo loads scipy.special for its
+Gauss-Hermite rule; those imports happen inside the functions that use
+them, so they cost nothing to the other kinds.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import kickecho
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(kickecho.__file__)))
+
+# Runs main(argv) and prints the scipy modules that are loaded afterwards.
+_PROBE = """
+import json, sys
+from kickecho.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules
+                                                if m.split(".")[0] == "scipy")}))
+"""
+
+_SMALL = ("--set", "n_kicks=5", "--set", "phi_d=0.5", "--points", "33")
+
+
+def _scipy_modules(tmp_path, kind, *args):
+    argv = [kind, "--out", str(tmp_path / "out.csv"), *args]
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["code"] == 0, done.stderr
+    return set(report["scipy"])
+
+
+@pytest.mark.parametrize(
+    "kind, args",
+    [
+        ("echo", ("--set", "n_kicks=5", "--set", "phi_d=0.5")),
+        ("echo", ("--set", "n_kicks=5", "--set", "phi_d=0.5", "--set", "eps_ns=1")),
+        ("scan-eps", _SMALL),
+        ("scan-p0", _SMALL),
+        ("scan-accel", _SMALL),
+        ("scan-accel", _SMALL + ("--set", "sigma_x_um=100")),
+        ("momentum-history", ("--set", "n_kicks=5", "--set", "phi_d=0.5")),
+    ],
+    ids=[
+        "echo-resonant",
+        "echo-detuned",
+        "scan-eps",
+        "scan-p0",
+        "scan-accel",
+        "scan-accel-gaussian",
+        "momentum-history",
+    ],
+)
+def test_delta_kick_kinds_load_no_scipy(tmp_path, kind, args):
+    assert _scipy_modules(tmp_path, kind, *args) == set()
+
+
+def test_finite_scan_loads_only_scipy_linalg(tmp_path):
+    loaded = _scipy_modules(
+        tmp_path, "finite-scan",
+        "--set", "n_kicks=4", "--set", "gamma=10", "--set", "tau_p_us=2", "--points", "33",
+    )
+    assert "scipy.linalg" in loaded
+    assert not any(m.startswith("scipy.special") for m in loaded)
+
+
+def test_gaussian_echo_is_the_one_delta_kick_kind_that_loads_scipy(tmp_path):
+    loaded = _scipy_modules(
+        tmp_path, "echo", "--set", "n_kicks=5", "--set", "phi_d=0.5", "--set", "sigma_x_um=100"
+    )
+    assert "scipy.special" in loaded

@@ -7,6 +7,7 @@ are pinned by the Talbot identity tested in test_params.  Everything
 else here is symmetry: unitarity, parity, time reversal, revival.
 """
 
+import inspect
 import math
 from unittest import mock
 
@@ -31,6 +32,7 @@ from kickecho.ladder import (
     basis_state,
     batched_return_amplitudes,
     folded_return_amplitudes,
+    gaussian_beta_nodes,
     gaussian_output,
     ground_state,
     kick_kernel,
@@ -486,6 +488,29 @@ def test_gaussian_output_against_grid_oracle(params):
         seq.n_kicks, seq.phi_d, seq.period, wavepacket, params
     )
     assert fiber == pytest.approx(grid, abs=5e-7)
+
+
+MAX_NODES = inspect.signature(gaussian_output).parameters["max_nodes"].default
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=MAX_NODES))
+@example(33)
+@example(65)
+@example(129)
+@example(257)
+@example(513)
+@example(1025)
+@example(2049)
+@example(MAX_NODES)
+def test_gaussian_beta_nodes_finite_and_normalised(params, n_nodes):
+    """Every rule the doubling loop can ask for has finite nodes and
+    weights summing to 1 (numpy's hermgauss gives NaN weights from 513)."""
+    betas, weights = gaussian_beta_nodes(WavepacketSpec(sigma_x=100e-6), params, n_nodes)
+    assert betas.shape == weights.shape == (n_nodes,)
+    assert np.isfinite(betas).all() and np.isfinite(weights).all()
+    assert (weights >= 0.0).all()
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kick_kernel_validation():
