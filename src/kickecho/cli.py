@@ -190,12 +190,34 @@ def _format_cell(value: Any) -> str:
     return repr(float(value))
 
 
+def _render_row(row: list[Any]) -> str:
+    """One CSV line, each cell as _format_cell writes it.
+
+    A run of plain Python floats (the populations of a momentum-history
+    row) goes through one repr of the run, which writes each float as
+    repr(float) does.  The test is type(cell) is float: np.float64 is a
+    float subclass, and inside a list numpy 2 writes it as np.float64(...).
+    """
+    parts = []
+    start, n = 0, len(row)
+    while start < n:
+        end = start
+        while end < n and type(row[end]) is float:
+            end += 1
+        if end > start:
+            parts.append(repr(list(row[start:end]))[1:-1].replace(", ", ","))
+        if end < n:
+            parts.append(_format_cell(row[end]))
+        start = end + 1
+    return ",".join(parts)
+
+
 def _render_csv(header: list[str], rows: list[list[Any]]) -> str:
     lines = [",".join(header)]
     for row in rows:
         if len(row) != len(header):
             raise AssertionError("row width does not match header")
-        lines.append(",".join(_format_cell(cell) for cell in row))
+        lines.append(_render_row(row))
     return "\n".join(lines) + "\n"
 
 

@@ -349,14 +349,23 @@ def _folded_echo(
     q_max: int,
     params: PhysicalParams,
 ) -> np.ndarray:
-    """Return amplitudes of one beta fiber from its forward train alone."""
+    """Return amplitudes of one beta fiber from its forward train alone.
+
+    The pulse loop allocates no arrays: each product goes into the spare
+    buffer, and the edge gate reads the outer EDGE_BAND rows as slices.
+    """
     even = beta == 0.0
     i0 = 0 if even else q_max
     qs = np.arange(-i0, q_max + 1)
-    edge = np.abs(qs) > q_max - EDGE_BAND
-    # Population of one rung per squared amplitude: an even-sector
-    # amplitude a_q (q >= 1) stands for the rungs +q and -q, |a_q|^2/2 each.
-    edge_weight = np.where(even & (qs[edge] != 0), 0.5, 1.0)[:, None]
+    # Edge rows q_max - EDGE_BAND < |q| <= q_max: both ends of the full
+    # ladder, the top end of the even sector.  There q = 0 is never in the
+    # band (q_max > EDGE_BAND), and an amplitude a_q stands for the rungs
+    # +q and -q, |a_q|^2/2 each.  Rounding is monotone, so the gate value
+    # weight * (max |a|)^2 is exactly the largest rung population.
+    ends = (slice(-EDGE_BAND, None),) if even else (
+        slice(None, EDGE_BAND), slice(-EDGE_BAND, None)
+    )
+    weight = 0.5 if even else 1.0
     free = np.exp(
         -2j * math.pi * ((periods - spec.tau_p) / params.talbot_time)[None, :]
         * ((qs + beta) ** 2)[:, None]
@@ -368,11 +377,16 @@ def _folded_echo(
     )
     amps = np.zeros((qs.size, periods.size), dtype=np.complex128)
     amps[i0, :] = 1.0
+    spare = np.empty_like(amps)
+    band = np.empty((len(ends), EDGE_BAND, periods.size))
     for _ in range(spec.n_pulses):
         if u is not None:
-            amps = u @ amps
-        band = np.abs(amps[edge]) ** 2 * edge_weight
-        _check_edge_population(float(np.max(band)), q_max)
+            np.matmul(u, amps, out=spare)
+            amps, spare = spare, amps
+        for end, out in zip(ends, band):
+            np.abs(amps[end], out=out)
+        top = float(band.max())
+        _check_edge_population(weight * (top * top), q_max)
         amps *= free
     _check_norms(amps, "in the batched finite-pulse run")
     parity = np.where(qs % 2 == 0, 1.0, -1.0)[:, None]

@@ -49,15 +49,19 @@ logger = logging.getLogger(__name__)
 # engine outputs are squared magnitudes so only rounding can exceed [0, 1].
 OUTPUT_RANGE_TOL = 1e-9
 
-# Relative tau resolution of the golden-section width minimization.
+# Relative tau resolution of the width minimization (Brent's method in
+# log tau): it stops once both ends of its bracket lie within this
+# relative distance of the best duration.
 TAU_RESOLUTION = 1e-3
 
-# Golden-section domain for the pulse-duration search: the pulse must fit
-# inside the period with free flight remaining.
+# Domain of the pulse-duration search: the pulse must fit inside the
+# period with free flight remaining.
 TAU_DOMAIN_LO_FRACTION = 1.0 / 4096.0
 TAU_DOMAIN_HI_FRACTION = 0.5
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section step of Brent's method, as a fraction of the larger side
+# of the bracket: 1 - 1/phi.
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
 # Stop rule of the coarse pulse-duration walk (see _walk_until_turned).
 TAU_TURN_POINTS = 2
@@ -591,6 +595,78 @@ def _walk_until_turned(
     return widths
 
 
+def _brent_log_min(
+    width: Callable[[float], float],
+    lo: tuple[float, float],
+    mid: tuple[float, float],
+    hi: tuple[float, float],
+) -> tuple[int, int]:
+    """Refine a bracketed width minimum by Brent's method in log tau.
+
+    lo, mid and hi are (log tau, width) points with lo < mid < hi and the
+    width at mid the smallest of the three (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5).  The first parabola
+    goes through all three.  A step is golden instead of parabolic when
+    the parabola is not finite (a failed width is inf), its vertex leaves
+    the bracket, or it is not shorter than half the step before last.
+    Steps are at least half of log1p(TAU_RESOLUTION) long, and the search
+    stops once both bracket ends lie within log1p(TAU_RESOLUTION) of the
+    best point.  Widths are read through width(tau); returns the numbers
+    of (parabolic, golden) evaluations.
+    """
+    (v, fv), (x, fx), (w, fw) = lo, mid, hi
+    a, b = v, w
+    # Both earlier steps count as the bracket width, so the first two
+    # parabolic steps may go anywhere inside it.
+    d = e = b - a
+    tol = 0.5 * math.log1p(TAU_RESOLUTION)
+    parabolic = golden = 0
+    while max(x - a, b - x) > 2.0 * tol:
+        m = 0.5 * (a + b)
+        # Vertex of the parabola through v, w and x: x + p/q.
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        if q > 0.0:
+            p = -p
+        q = abs(q)
+        e_prev, e = e, d
+        if (
+            abs(e_prev) > tol
+            and math.isfinite(p)
+            and math.isfinite(q)
+            and abs(p) < abs(0.5 * q * e_prev)
+            and q * (a - x) < p < q * (b - x)
+        ):
+            d = p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol:
+                d = math.copysign(tol, m - x)
+            parabolic += 1
+        else:
+            e = (a - x) if x >= m else (b - x)
+            d = _GOLDEN_STEP * e
+            golden += 1
+        u = x + d if abs(d) >= tol else x + math.copysign(tol, d)
+        fu = width(math.exp(u))
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return parabolic, golden
+
+
 def find_tau_min(
     n_pulses: int,
     gamma: float,
@@ -604,8 +680,9 @@ def find_tau_min(
     weak kicks (wide timing peaks) and long pulses accumulate motion
     during the pulse (also widening the peak).  The interior minimum of
     width against duration is located on a geometric coarse grid over
-    (T_T/4096, T_T/2] and refined by golden-section search in log tau to
-    a relative resolution of 1e-3.
+    (T_T/4096, T_T/2] and refined by Brent's method (parabolic
+    interpolation with golden-section fallback) in log tau to a relative
+    resolution of TAU_RESOLUTION = 1e-3.
 
     The coarse grid is walked from short to long durations and the walk
     stops once the width has turned: at the second point after the
@@ -614,8 +691,9 @@ def find_tau_min(
     after the best was reached by a descent of at least three strictly
     decreasing finite widths; short single pulses can show a spurious
     early basin before the real dip.  The coarse minimum is the argmin
-    over the walked durations, and the golden-section search brackets it
-    by its two coarse neighbors.
+    over the walked durations.  Brent's method brackets it by its two
+    coarse neighbors and starts from the three widths already measured
+    there; tau_min is the narrowest of all measured durations.
 
     Requires gamma * n_pulses > 1; far below that the kicks are too weak
     for the width to turn over inside the domain.
@@ -671,21 +749,23 @@ def find_tau_min(
     walked = len(widths)
     i_min = int(np.argmin(widths))
 
-    def log_search(golden: int) -> None:
+    def log_search(parabolic: int = 0, golden: int = 0) -> None:
         logger.debug(
             "find_tau_min(n_pulses=%d, gamma=%g): walked %d of %d durations, "
-            "coarse argmin %d (tau = %.6g s), %d golden-section evaluations",
-            n_pulses, gamma, walked, coarse_points, i_min, taus[i_min], golden,
+            "coarse argmin %d (tau = %.6g s), %d refinement evaluations "
+            "(%d parabolic, %d golden)",
+            n_pulses, gamma, walked, coarse_points, i_min, taus[i_min],
+            parabolic + golden, parabolic, golden,
         )
 
     if not math.isfinite(widths[i_min]):
-        log_search(0)
+        log_search()
         raise NoInteriorMinimumError(
             f"no measurable timing peak on any of the {walked} durations "
             f"walked on the coarse grid"
         )
     if i_min == 0 or i_min == taus.size - 1:
-        log_search(0)
+        log_search()
         edge = "short" if i_min == 0 else "long"
         raise NoInteriorMinimumError(
             f"smallest width at the {edge}-pulse edge of the duration domain "
@@ -693,24 +773,13 @@ def find_tau_min(
             f"{coarse_points} durations"
         )
 
-    # Golden-section in log tau between the coarse neighbors.
-    lo, hi = math.log(taus[i_min - 1]), math.log(taus[i_min + 1])
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1 = width(math.exp(x1))
-    f2 = width(math.exp(x2))
-    golden = 2
-    while math.expm1(hi - lo) > TAU_RESOLUTION:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = width(math.exp(x1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = width(math.exp(x2))
-        golden += 1
-    log_search(golden)
+    steps = _brent_log_min(
+        width,
+        (math.log(taus[i_min - 1]), widths[i_min - 1]),
+        (math.log(taus[i_min]), widths[i_min]),
+        (math.log(taus[i_min + 1]), widths[i_min + 1]),
+    )
+    log_search(*steps)
     tau_min = min(cache, key=cache.__getitem__)
     return tau_min, cache[tau_min]
 

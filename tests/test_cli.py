@@ -1,13 +1,16 @@
 """End-to-end command-line behavior: resolution order, outputs, exit codes."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kickecho.analytic import fwhm_accel, fwhm_eps, fwhm_p0
-from kickecho.cli import main, sidecar_path
+from kickecho.cli import _format_cell, _render_csv, main, sidecar_path
 from kickecho.config import resolve
 from kickecho.finite_pulse import FinitePulseSpec
 from kickecho.ladder import (
@@ -401,3 +404,32 @@ def test_scan_kinds_match_direct_library_calls(tmp_path):
             predicted_width: predicted(n, spec.phi_d, params) / unit,
         }
         assert side["derived"]["phi_d"] == spec.phi_d
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e22, 0.1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from(_EDGE_FLOATS),
+            st.integers(min_value=-(10**20), max_value=10**20),
+            st.text(alphabet=st.sampled_from('ab,"\r\n -'), max_size=6),
+            st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+            st.integers(min_value=-(2**62), max_value=2**62).map(np.int64),
+        ),
+        max_size=40,
+    )
+)
+@example([1] + _EDGE_FLOATS)
+@example(_EDGE_FLOATS + [np.float64(0.5), "x,y", 3, -0.0])
+def test_render_csv_float_runs_match_cellwise_format(row):
+    """Runs of plain floats render in one repr; the text equals formatting
+    every cell on its own."""
+    header = [f"c{i}" for i in range(len(row))]
+    expected = ",".join(_format_cell(cell) for cell in row)
+    assert _render_csv(header, [row, row]) == "\n".join(
+        [",".join(header), expected, expected]
+    ) + "\n"

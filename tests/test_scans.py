@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -328,43 +329,58 @@ def test_find_tau_min_validation(params):
 F = math.inf  # a duration whose width measurement fails
 
 
+def _coarse_taus(params, points=18):
+    center = params.talbot_time
+    return np.geomspace(
+        scans.TAU_DOMAIN_LO_FRACTION * center,
+        scans.TAU_DOMAIN_HI_FRACTION * center,
+        points,
+    )
+
+
 class _ReplayedWidths:
     """Stand-in for scans._finite_width that replays one width per coarse
-    duration and records which coarse durations were measured.
+    duration and records which durations were measured.
 
-    Off the grid (golden-section steps) the width is a parabola in log tau
-    around the replayed width at index i_min (default: the smallest), so
-    the refinement converges onto that grid point.
+    Off the grid (refinement steps) the width is shape(log tau), by default
+    a parabola in log tau around the replayed width at index i_min (default:
+    the smallest), so the refinement converges onto that grid point.
     """
 
-    def __init__(self, params, widths, i_min=None):
-        center = params.talbot_time
-        self.taus = np.geomspace(
-            scans.TAU_DOMAIN_LO_FRACTION * center,
-            scans.TAU_DOMAIN_HI_FRACTION * center,
-            len(widths),
-        )
+    def __init__(self, params, widths, i_min=None, shape=None):
+        self.taus = _coarse_taus(params, len(widths))
         self.widths = {float(t): w for t, w in zip(self.taus, widths)}
         if i_min is None:
             i_min = int(np.argmin(widths))
-        self.tau_best, self.w_best = float(self.taus[i_min]), widths[i_min]
+        if shape is None:
+            s_best, w_best = math.log(self.taus[i_min]), widths[i_min]
+            shape = lambda s: w_best * (1.0 + (s - s_best) ** 2)  # noqa: E731
+        self.shape = shape
         self.walked: list[int] = []
+        self.refined: list[float] = []
 
     def __call__(self, n_pulses, v0, tau_p, params, center):
         if tau_p in self.widths:
             self.walked.append(int(np.flatnonzero(self.taus == tau_p)[0]))
             w = self.widths[tau_p]
         else:
-            w = self.w_best * (1.0 + math.log(tau_p / self.tau_best) ** 2)
+            self.refined.append(tau_p)
+            w = self.shape(math.log(tau_p))
         if not math.isfinite(w):
             raise PeakNotBracketedError("replayed failure")
         return w, center
 
 
-def _replay(monkeypatch, params, widths, i_min=None):
-    fake = _ReplayedWidths(params, widths, i_min)
+def _replay(monkeypatch, params, widths, i_min=None, shape=None):
+    fake = _ReplayedWidths(params, widths, i_min, shape)
     monkeypatch.setattr(scans, "_finite_width", fake)
     return fake
+
+
+def _replay_shape(monkeypatch, params, shape):
+    """Replay shape(log tau) on the coarse grid and off it."""
+    widths = [shape(math.log(t)) for t in _coarse_taus(params)]
+    return _replay(monkeypatch, params, widths, shape=shape)
 
 
 def test_tau_min_walk_stops_two_points_after_settled_minimum(monkeypatch, params):
@@ -419,14 +435,81 @@ def test_tau_min_logs_one_debug_record_per_call(monkeypatch, params, caplog):
     message = record.getMessage()
     assert "walked 9 of 18 durations" in message
     assert "coarse argmin 6" in message
-    assert "golden-section evaluations" in message
+    assert "4 refinement evaluations (2 parabolic, 2 golden)" in message
     caplog.clear()
     _replay(monkeypatch, params, [1.0 + i for i in range(18)])
     with pytest.raises(NoInteriorMinimumError):
         find_tau_min(4, 10.0, params)
     (record,) = caplog.records
     assert "walked 3 of 18" in record.getMessage()
-    assert "0 golden-section" in record.getMessage()
+    assert "0 refinement evaluations (0 parabolic, 0 golden)" in record.getMessage()
+
+
+def _refinement_counts(caplog) -> tuple[int, int]:
+    """(parabolic, golden) from the one DEBUG record of find_tau_min."""
+    (record,) = caplog.records
+    match = re.search(r"\((\d+) parabolic, (\d+) golden\)", record.getMessage())
+    return int(match.group(1)), int(match.group(2))
+
+
+def test_tau_min_refines_a_parabola_in_few_steps(monkeypatch, params, caplog):
+    # Minimum 0.37 grid steps above the coarse argmin: golden section took
+    # 17 widths to pin it; the parabola through the three coarse widths
+    # lands on it at once.
+    grid = np.log(_coarse_taus(params))
+    s_star = grid[9] + 0.37 * (grid[10] - grid[9])
+    fake = _replay_shape(
+        monkeypatch, params, lambda s: 2e-8 * (1.0 + 3.0 * (s - s_star) ** 2)
+    )
+    caplog.set_level(logging.DEBUG, logger="kickecho.scans")
+    tau, w = find_tau_min(4, 10.0, params)
+    assert len(fake.refined) <= 8
+    assert _refinement_counts(caplog)[0] >= 1
+    assert abs(tau / math.exp(s_star) - 1.0) <= scans.TAU_RESOLUTION
+    assert w == min(fake.shape(math.log(t)) for t in fake.refined)
+
+
+def test_tau_min_failed_neighbour_forces_golden_steps(monkeypatch, params, caplog):
+    # The best 10 at index 5 is settled; its upper neighbour fails.  The
+    # parabola through an inf width is not finite, so the first step is
+    # golden.  Off the grid everything is wider than the grid minimum.
+    widths = [30, 25, 20, 15, 12, 10, F, 14] + [40.0] * 10
+    fake = _replay(monkeypatch, params, widths)
+    caplog.set_level(logging.DEBUG, logger="kickecho.scans")
+    tau, w = find_tau_min(4, 10.0, params)
+    assert fake.walked == list(range(8))
+    assert _refinement_counts(caplog)[1] >= 1
+    assert fake.refined
+    assert all(fake.taus[4] < t < fake.taus[6] for t in fake.refined)
+    assert tau == float(fake.taus[5]) and w == 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=1.5, max_value=15.5),
+    st.floats(min_value=0.1, max_value=10.0),
+    st.floats(min_value=0.1, max_value=10.0),
+    st.floats(min_value=1.0, max_value=3.0),
+    st.floats(min_value=1.0, max_value=3.0),
+)
+def test_tau_min_lands_on_asymmetric_minimum(params, at, left, right, p_left, p_right):
+    """Brent's method pins any unimodal, asymmetric width curve within two
+    resolutions and never measures outside the coarse bracket."""
+    grid = np.log(_coarse_taus(params))
+    s_star = float(np.interp(at, np.arange(18), grid))
+
+    def shape(s):
+        d = s - s_star
+        scale, power = (left, p_left) if d < 0.0 else (right, p_right)
+        return 1e-8 * (1.0 + scale * abs(d) ** power)
+
+    with pytest.MonkeyPatch.context() as mp:
+        fake = _replay_shape(mp, params, shape)
+        tau, w = find_tau_min(4, 10.0, params)
+    i_min = int(np.argmin([shape(s) for s in grid]))
+    assert all(fake.taus[i_min - 1] < t < fake.taus[i_min + 1] for t in fake.refined)
+    assert abs(tau / math.exp(s_star) - 1.0) <= 2.0 * scans.TAU_RESOLUTION
+    assert w == shape(math.log(tau))
 
 
 @pytest.mark.parametrize("gamma,n", [(3.0, 6), (3.0, 8), (5.0, 4), (5.0, 6)])
