@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -212,7 +212,7 @@ def _render_row(row: list[Any]) -> str:
     return ",".join(parts)
 
 
-def _render_csv(header: list[str], rows: list[list[Any]]) -> str:
+def _render_csv(header: list[str], rows: Iterable[list[Any]]) -> str:
     lines = [",".join(header)]
     for row in rows:
         if len(row) != len(header):
@@ -228,7 +228,7 @@ def sidecar_path(out_path: str) -> str:
 def _write_outputs(
     out_path: str,
     header: list[str],
-    rows: list[list[Any]],
+    rows: Iterable[list[Any]],
     sidecar: dict[str, Any],
 ) -> str:
     """Serialize fully, then write; nothing is left written if rendering or
@@ -301,9 +301,8 @@ def _run_momentum_history(config: RunConfig):
     spec = _sequence_spec(config, params)
     q_values, history = momentum_history(spec, config["beta"], params)
     header = ["kick_index"] + [f"pop_q_{q}" for q in q_values.tolist()]
-    rows = [
-        [kick + 1] + history[kick].tolist() for kick in range(history.shape[0])
-    ]
+    # A generator: one row of Python floats exists at a time.
+    rows = ([kick + 1] + pops.tolist() for kick, pops in enumerate(history))
     q0 = int(np.nonzero(q_values == 0)[0][0])
     metrics = {
         "I": float(history[-1, q0]),

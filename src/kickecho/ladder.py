@@ -19,32 +19,36 @@ flight.  Its figure of merit is the probability of returning to the initial
 ladder site, output = |c_{q=0}|^2.
 
 Echo folding.  At zero acceleration the reversed train follows from the
-forward one.  The truncated kick matrix K+ is complex-symmetric Toeplitz
-(w[d] = w[-d]), and the reversed kick is K- = P K+ P with
-P = diag((-1)^q); the free flight F = diag(F_q) commutes with P.  With
-c = (F K+)^n e_0 the forward state, transposing (F K+)^n = F (K+ F)^n F^-1
-gives
+forward one.  The basis c'_q = i^q c_q leaves c_0, the populations and
+the free flight F = diag(F_q) unchanged, and makes the kick real: the
+weight (sign*(-i))^d J_d(phi_d) of order d becomes J_{sign*d}(phi_d), so
+the truncated kick matrix K+ is the real Toeplitz matrix J_{q-q'}(phi_d)
+and the reversed kick is its transpose.  With c' = (F K+)^n e_0 the
+forward state, (F K+^T)^n is the transpose of (K+ F)^n = F^-1 (F K+)^n F,
+which gives
 
-    c_0(final) = e_0^T P (F K+)^n P c = F_0 * sum_q (-1)^q c_q^2 / F_q,
+    c_0(final) = e_0^T (F K+^T)^n c' = F_0 * sum_q c'_q^2 / F_q,
 
 exactly on the truncated ladder, for any beta and period: the
 time-reversal structure of the Loschmidt echo (Peres, Phys. Rev. A 30,
 1610 (1984)), as in the finite-pulse engine.  At beta = 0 the state stays
-even in q, so folded_return_amplitudes runs those columns on the even
-sector q = 0 .. q_max.  Mirrored rows c_D .. c_1 ahead of c_0, D the
-kernel half-width (at most q_max), keep the kick a plain convolution;
-there the norm is |c_0|^2 + 2 sum_{q>=1} |c_q|^2.  scan-eps (beta = 0)
+even in q, c'_-q = (-1)^q c'_q, so folded_return_amplitudes runs those
+columns on the even sector q = 0 .. q_max.  Mirrored rows c'_-D .. c'_-1
+ahead of c'_0, D the kernel half-width (at most q_max), keep the kick a
+plain banded product; there every row q >= 1 counts twice, in the fold
+and in the norm |c_0|^2 + 2 sum_{q>=1} |c_q|^2.  scan-eps (beta = 0)
 runs on the even sector, and a p0 scan away from the resonance period
 on the folded full ladder.  Accelerated columns away from the resonance
 period, the detuned plane-wave echo and gaussian_output run both
-trains, and momentum_history records every kick of both.  Plane-wave columns at exactly the resonance period need no
-ladder (below).  The folded run gates only the forward train, so it can
-pass where the reversed train fails the edge gate.  That happens to the
-N = 40, phi_d = 0.5, sigma_x = 100 um Gaussian echo, which exits 3 on
-two trains; its folded 65-node rule returns I = 0.0751.  The benchmark
-keeps that echo as an operation that must exit 3, so the Gaussian path
-stays on two trains until the fiber quadrature and that operation
-change together.
+trains, and momentum_history records every kick of both.  Plane-wave
+columns at exactly the resonance period need no ladder (below).  The
+folded run gates only the forward train, so it can pass where the
+reversed train fails the edge gate.  That happens to the N = 40,
+phi_d = 0.5, sigma_x = 100 um Gaussian echo, which exits 3 on two
+trains; its folded 65-node rule returns I = 0.0751.  The benchmark keeps
+that echo as an operation that must exit 3, so the Gaussian path stays
+on two trains until the fiber quadrature and that operation change
+together.
 
 Resonant fibers.  At the period T = T_T the flight of period n is
 linear in the rung, F_n(q) = F_n(0) r_n^q with |r_n| = 1, a translation
@@ -69,13 +73,18 @@ the ladder's 0.045 s at N = 100, phi_d = 2.04.  gaussian_output stays on
 two trains for the benchmark echo named above.
 
 Engine and reference.  batched_return_amplitudes, folded_return_amplitudes,
-momentum_history and train_matrix all run one loop, _kick_columns: each
-period kicks a block of columns into preallocated buffers, calls a
-per-kick hook (the edge gate, the even-sector mirror, a population
-record, or nothing), then applies the free-flight phase, carried under
-acceleration as a running multiplier without the global a^2 phase.
-run_sequence is the independent reference: apply_kick and one free
-flight per period, with the exact accelerated action.
+momentum_history and train_matrix all run one loop, _kick_columns, in the
+basis c'_q; train_matrix rotates its matrix back.  Each period kicks a
+block of columns, calls a per-kick hook (the edge gate, the even-sector
+mirror, a population record, or nothing), then applies the free-flight
+phase, carried under acceleration as a running multiplier without the
+global a^2 phase.  A kick is a real banded product over the complex
+amplitudes viewed as float64: each row block of KICK_ROWS rows is one
+real Toeplitz slab, KICK_ROWS + 2D columns wide, times the block's input
+rows, in tiles of KICK_TILE columns.  No sites x sites matrix is built.
+run_sequence is the independent reference: apply_kick (the complex
+convolution _convolve_kick) and one free flight per period, with the
+exact accelerated action.
 """
 
 from __future__ import annotations
@@ -87,6 +96,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import _bessel
 from .errors import ConvergenceError, TruncationError
@@ -104,12 +114,35 @@ KERNEL_TOL = 1e-16
 
 NORM_TOL = 1e-10
 
+# The engine's kick (_kick_columns) is a real banded product: row blocks of
+# KICK_ROWS rows, one BLAS call per row block and tile of KICK_TILE complex
+# columns.  Calls of one shape keep a column's bits independent of batching.
+# With OpenBLAS 0.3.31 a column's bits changed with its place in 6-column
+# tiles, not in 1-, 2- or 8-column ones.  8-column tiles ran the 161-column
+# N = 200 scan-eps 1.3-1.8x faster than 1-column ones, and a lone column on
+# a 5189-site ladder 3-4x slower.  16- to 64-row blocks ran that scan within
+# the noise of each other.
+KICK_ROWS = 32
+KICK_TILE = 8
+
+# Every TAIL_FLUSH kicks the engine sets amplitude parts below TAIL_TOL to
+# zero.  On a ladder much wider than the state the tails otherwise sink
+# below the smallest normal double, where every product takes a slow
+# subnormal path: the detuned echo at N = 2000, phi_d = 1.25 held 6700
+# subnormal reals of 10378 and ran 23 s instead of 1.5 s.  New tail values
+# are old ones times Bessel weights of at least KERNEL_TOL, so between
+# flushes they stay near or above 1e-150 * 1e-16^8 = 1e-278.  Parts this
+# small have populations below 1e-300 and move outputs at rounding level.
+TAIL_TOL = 1e-150
+TAIL_FLUSH = 8
+
 # The batched engine runs its columns in blocks whose work arrays hold about
 # this many entries (sites x columns): 368 columns at q_max = 44.  Each block
 # goes through every kick before the next starts, so its arrays stay in
-# cache.  On a 2-core Xeon with 2 MiB of L2 per core the benchmark's
-# wavepacket operations took 2.9-3.0 s with 16k or 32k entries, 4.2-4.9 s
-# with 64k and 6.1 s unblocked; 32k splits wide ladders into fewer blocks.
+# cache.  On a 2-core Xeon with 2 MiB of L2 per core, 2049 x 5 (beta, accel)
+# columns at N = 32, phi_d = 0.5 took 0.71-0.78 s with 16k or 32k entries,
+# 0.89 s with 64k and 1.7 s unblocked; 32k splits wide ladders into fewer
+# blocks.
 BLOCK_ENTRIES = 32768
 
 
@@ -203,17 +236,46 @@ def kick_kernel(phi_d: float, sign: int = +1) -> np.ndarray:
     array has odd length 2D+1 with the d = 0 term in the middle; orders with
     |J_d| < KERNEL_TOL are dropped.
     """
-    if not (0.0 <= phi_d < math.inf):
-        raise ValueError(f"phi_d must be finite and >= 0, got {phi_d!r}")
+    _check_sign(sign)
+    jd = _bessel_orders(phi_d)
+    d = np.arange(jd.size) - (jd.size - 1) // 2
+    return (sign * -1j) ** d * jd
+
+
+def _check_sign(sign: int) -> None:
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+
+
+def _bessel_orders(phi_d: float) -> np.ndarray:
+    """J_d(phi_d) for d = -D .. D, the orders of the kick kernel: D is the
+    highest order with |J_D| >= KERNEL_TOL."""
+    if not (0.0 <= phi_d < math.inf):
+        raise ValueError(f"phi_d must be finite and >= 0, got {phi_d!r}")
     d_max = max(4, int(math.ceil(phi_d + 12.0 + 8.0 * phi_d ** (1.0 / 3.0))))
     j = _bessel.jn_upto(d_max, phi_d)
     keep = np.nonzero(np.abs(j) >= KERNEL_TOL)[0]
     d_max = int(keep[-1]) if keep.size else 0
     d = np.arange(-d_max, d_max + 1)
-    jd = j[np.abs(d)] * np.where((d < 0) & (d % 2 != 0), -1.0, 1.0)
-    return (sign * -1j) ** d * jd
+    return j[np.abs(d)] * np.where((d < 0) & (d % 2 != 0), -1.0, 1.0)
+
+
+def _kick_slab(phi_d: float, sign: int = +1) -> np.ndarray:
+    """One row block of the kick exp(-i*sign*phi_d*cos(kappa x)) in the
+    basis c'_q = i^q c_q, where it is real (module docstring).
+
+    Returns the KICK_ROWS x (KICK_ROWS + 2D) Toeplitz slab
+    S[r, r + D - d] = J_{sign*d}(phi_d), D the kick kernel's half-width:
+    rows r0 .. r0 + KICK_ROWS - 1 of the kicked ladder are S times rows
+    r0 - D .. r0 + KICK_ROWS - 1 + D of the ladder before the kick.
+    """
+    _check_sign(sign)
+    jd = _bessel_orders(phi_d)
+    weights = jd if sign < 0 else jd[::-1]
+    slab = np.zeros((KICK_ROWS, KICK_ROWS + jd.size - 1))
+    for r in range(KICK_ROWS):
+        slab[r, r : r + jd.size] = weights
+    return slab
 
 
 def _convolve_kick(
@@ -389,27 +451,79 @@ def run_sequence(
     return state, state.population(0)
 
 
-def _kick_columns(amps: np.ndarray, kernels, phase: np.ndarray, step=None, hook=None) -> np.ndarray:
-    """The delta-kick engine's loop: one period per kernel on a block of
-    columns amps (sites, m), which it overwrites.
+def _kick_columns(amps: np.ndarray, slabs, phase: np.ndarray, step=None, hook=None) -> np.ndarray:
+    """The delta-kick engine's loop: one period per kick slab (_kick_slab,
+    all of one kernel width) on a block of columns amps (sites, m) in the
+    basis c'_q = i^q c_q.
 
     Each period kicks the block, calls hook on the kicked block (a gate, a
     mirror or a record), then multiplies it by the free-flight phase.
     With step given, phase is multiplied by step after every period (a
     running multiplier, overwritten); otherwise it is the same in every
-    period.  Returns the final amplitudes.
+    period.  Returns the final amplitudes, a view into a work buffer.
+
+    The block lives in two buffers with D zero rows above and below the
+    ladder, D the kernel half-width, and its columns zero-padded to whole
+    tiles of KICK_TILE.  A kick multiplies the slab into every row block
+    of KICK_ROWS rows and every tile (_row_block_products).  Each BLAS call
+    has the same shape whatever the number of columns, so a column's bits
+    do not depend on the block it runs in.  Every TAIL_FLUSH kicks, real
+    and imaginary parts below TAIL_TOL are set to zero.
     """
-    out = np.empty_like(amps)
-    tmp = np.empty_like(amps)
-    for kernel in kernels:
-        _convolve_kick(amps, kernel, out, tmp)
-        amps, out = out, amps
+    sites, m = amps.shape
+    half = (slabs[0].shape[1] - KICK_ROWS) // 2
+    bufs = [
+        np.zeros((sites + 2 * half, -(-m // KICK_TILE) * KICK_TILE), dtype=np.complex128)
+        for _ in range(2)
+    ]
+    bufs[0][half : half + sites, :m] = amps
+    # The products of a kick from bufs[0] into bufs[1], and of one back.
+    products = [_row_block_products(*pair, half, sites) for pair in (bufs, bufs[::-1])]
+    views = [b[half : half + sites, :m] for b in bufs]
+    reals = [b[half : half + sites].view(np.float64) for b in bufs]
+    magnitude = np.empty(reals[0].shape)
+    tail = np.empty(reals[0].shape, dtype=bool)
+    cur = 0
+    for kick, slab in enumerate(slabs, 1):
+        for h, src, dst in products[cur]:
+            np.matmul(slab[:h, : h + 2 * half], src, out=dst)
+        cur ^= 1
+        if kick % TAIL_FLUSH == 0:
+            np.less(np.abs(reals[cur], out=magnitude), TAIL_TOL, out=tail)
+            np.copyto(reals[cur], 0.0, where=tail)
+        amps = views[cur]
         if hook is not None:
             hook(amps)
         amps *= phase
         if step is not None:
             phase *= step
     return amps
+
+
+def _row_block_products(src: np.ndarray, dst: np.ndarray, half: int, sites: int):
+    """(slab rows h, input, output) of the np.matmul calls that kick the
+    block in src into dst (buffers of _kick_columns).
+
+    input and output are real (row blocks, tiles, rows, 2 KICK_TILE)
+    views: row block b reads the h + 2 half rows from b KICK_ROWS on,
+    which overlap, and writes ladder rows b KICK_ROWS .. + h - 1.  The
+    full row blocks make one call; a last, shorter block another.
+    """
+    src, dst = src.view(np.float64), dst.view(np.float64)
+    row = src.strides[0]
+    tiles = src.shape[1] // (2 * KICK_TILE)
+    strides = (KICK_ROWS * row, 2 * KICK_TILE * src.itemsize, row, src.itemsize)
+    full, last = divmod(sites, KICK_ROWS)
+    calls = []
+    for r0, h, blocks in ((0, KICK_ROWS, full), (full * KICK_ROWS, last, 1)):
+        if h and blocks:
+            shape = (blocks, tiles, h + 2 * half, 2 * KICK_TILE)
+            calls.append((
+                h,
+                as_strided(src[r0:], shape, strides, writeable=False),
+                as_strided(dst[half + r0 :], (blocks, tiles, h, 2 * KICK_TILE), strides),
+            ))
+    return calls
 
 
 def _free_phase(qs, t, bet, params: PhysicalParams) -> np.ndarray:
@@ -441,9 +555,17 @@ def _accelerated_flight(qs, t, bet, acc, params: PhysicalParams, t_start: float 
     return phase, half * half
 
 
+def _train_slabs(n_kicks: int, phi_d: float) -> tuple[np.ndarray, ...]:
+    """Kick slabs of the echo: n_kicks of sign +1, then n_kicks of sign -1."""
+    return (_kick_slab(phi_d, +1),) * n_kicks + (_kick_slab(phi_d, -1),) * n_kicks
+
+
 def _column_blocks(cols: np.ndarray, sites: int):
-    """cols in runs of about BLOCK_ENTRIES / sites columns."""
+    """cols in runs of about BLOCK_ENTRIES / sites columns, whole tiles of
+    KICK_TILE columns once there is room for one."""
     width = max(1, BLOCK_ENTRIES // sites)
+    if width > KICK_TILE:
+        width -= width % KICK_TILE
     return (cols[lo : lo + width] for lo in range(0, cols.size, width))
 
 
@@ -460,18 +582,20 @@ def momentum_history(
     """
     start = ground_state(beta, auto_q_max(seq.n_kicks, seq.phi_d) if q_max is None else q_max)
     q_max, qs = start.q_max, start.q_values
-    history = []
+    history = np.empty((2 * seq.n_kicks, qs.size))
+    rows = iter(history)
 
     def record(amps):
         _check_edges(amps, q_max)
-        history.append(np.abs(amps[:, 0]) ** 2)
+        row = next(rows)
+        np.abs(amps[:, 0], out=row)
+        np.square(row, out=row)
 
-    kernels = (kick_kernel(seq.phi_d, +1),) * seq.n_kicks
-    kernels += (kick_kernel(seq.phi_d, -1),) * seq.n_kicks
     flight = _accelerated_flight(qs, seq.period, beta, seq.accel, params)
-    amps = _kick_columns(start.amps[:, None], kernels, *flight, record)
+    slabs = _train_slabs(seq.n_kicks, seq.phi_d)
+    amps = _kick_columns(start.amps[:, None], slabs, *flight, record)
     _check_norms(amps, "over the sequence")
-    return qs, np.array(history)
+    return qs, history
 
 
 def train_matrix(
@@ -490,13 +614,16 @@ def train_matrix(
     Returns (q_values, U) where U[:, j] is the train applied to the basis
     state on rung q_values[j], without the a^2 action phase (as in
     batched_return_amplitudes).  Used to read transition amplitudes
-    <q'|train|q> without re-running per column.  No gate runs.
+    <q'|train|q> without re-running per column.  No gate runs.  The train
+    runs in the basis c'_q = i^q c_q, and U[q, q'] = i^(q'-q) U'[q, q']
+    rotates it back.
     """
     q_max = auto_q_max(n_kicks, phi_d) + EDGE_BAND if q_max is None else _check_q_max(q_max)
     qs = np.arange(-q_max, q_max + 1)
     flight = _accelerated_flight(qs, period, beta, accel, params, t_offset)
     u = np.eye(qs.size, dtype=np.complex128)
-    return qs, _kick_columns(u, (kick_kernel(phi_d, sign),) * n_kicks, *flight)
+    u = _kick_columns(u, (_kick_slab(phi_d, sign),) * n_kicks, *flight)
+    return qs, u * np.array([1.0, 1j, -1.0, -1j])[(qs[None, :] - qs[:, None]) % 4]
 
 
 def _flat_columns(what: str, periods, *rest) -> tuple[tuple[int, ...], list[np.ndarray]]:
@@ -535,11 +662,12 @@ def batched_return_amplitudes(
     The columns run in blocks of about BLOCK_ENTRIES / sites columns, each
     block through all 2*n_kicks kicks before the next.  Every column goes
     through the same floating-point operations in the same order whatever
-    block it lands in, so a column's amplitude is bit-identical however
-    the columns are batched, ordered or split across workers.  The edge
-    gate runs after every kick and the norm gate at the end of every
-    block; a column failing either raises TruncationError, which reports
-    the worst value within the failing block.  Non-finite inputs, and an
+    block it lands in (BLAS calls of one shape, _kick_columns), so a
+    column's amplitude is bit-identical however the columns are batched,
+    ordered or split across workers.  The edge gate runs after every kick
+    and the norm gate at the end of every block; a column failing either
+    raises TruncationError, which reports the worst value within the
+    failing block.  Non-finite inputs, and an
     n_kicks that is not a positive integer, raise ValueError.
     """
     shape, (t, bet, acc) = _flat_columns(
@@ -548,14 +676,14 @@ def batched_return_amplitudes(
     n_kicks = _check_n_kicks(n_kicks)
     q_max = auto_q_max(n_kicks, phi_d) if q_max is None else _check_q_max(q_max)
     qs = np.arange(-q_max, q_max + 1)
-    kernels = (kick_kernel(phi_d, +1),) * n_kicks + (kick_kernel(phi_d, -1),) * n_kicks
+    slabs = _train_slabs(n_kicks, phi_d)
     gate = partial(_check_edges, q_max=q_max)
     out = np.empty(t.size, dtype=np.complex128)
     for block in _column_blocks(np.arange(t.size), qs.size):
         amps = np.zeros((qs.size, block.size), dtype=np.complex128)
         amps[q_max] = 1.0
         flight = _accelerated_flight(qs, t[block], bet[block], acc[block], params)
-        amps = _kick_columns(amps, kernels, *flight, gate)
+        amps = _kick_columns(amps, slabs, *flight, gate)
         _check_norms(amps, "over the batched sequence")
         out[block] = amps[q_max]
     return out.reshape(shape)
@@ -572,11 +700,11 @@ def folded_return_amplitudes(
     """Zero-acceleration return amplitudes from the forward train alone.
 
     Returns c_{q=0} of the full echo with the broadcast shape of (periods,
-    betas), folded from the state c after the n_kicks forward periods:
-    c_0 = F_0 * sum_q (-1)^q c_q^2 / F_q, F the free-flight phases of the
-    column (module docstring).  Columns with beta = 0 run on the even
-    sector q = 0 .. q_max.  The amplitudes agree with
-    batched_return_amplitudes and run_sequence to rounding.
+    betas), folded from the state c' after the n_kicks forward periods in
+    the basis c'_q = i^q c_q: c_0 = F_0 * sum_q c'_q^2 / F_q, F the
+    free-flight phases of the column (module docstring).  Columns with
+    beta = 0 run on the even sector q = 0 .. q_max.  The amplitudes agree
+    with batched_return_amplitudes and run_sequence to rounding.
 
     As in batched_return_amplitudes, columns run in blocks of about
     BLOCK_ENTRIES sites x columns, and a column's amplitude is
@@ -589,23 +717,23 @@ def folded_return_amplitudes(
     shape, (t, bet) = _flat_columns("periods and betas", periods, betas)
     n_kicks = _check_n_kicks(n_kicks)
     q_max = auto_q_max(n_kicks, phi_d) if q_max is None else _check_q_max(q_max)
-    kernel = kick_kernel(phi_d, +1)
-    # The even sector holds min(D, q_max) mirrored rows c_D .. c_1 ahead of
-    # c_0 .. c_q_max, D the kernel half-width: every row below q = 0 that
-    # the kick reads.
-    lead = min((len(kernel) - 1) // 2, q_max)
+    slab = _kick_slab(phi_d, +1)
+    # The even sector holds min(D, q_max) mirrored rows c_-D .. c_-1 ahead
+    # of c_0 .. c_q_max, D the kernel half-width: every row below q = 0
+    # that the kick reads.
+    lead = min((slab.shape[1] - KICK_ROWS) // 2, q_max)
     out = np.empty(t.size, dtype=np.complex128)
     for even in (True, False):
         cols = np.nonzero((bet == 0.0) == even)[0]
         qs = np.arange(-lead if even else -q_max, q_max + 1)
         for block in _column_blocks(cols, qs.size):
-            out[block] = _fold_block(n_kicks, kernel, t[block], bet[block], qs, even, params)
+            out[block] = _fold_block(n_kicks, slab, t[block], bet[block], qs, even, params)
     return out.reshape(shape)
 
 
 def _fold_block(
     n_kicks: int,
-    kernel: np.ndarray,
+    slab: np.ndarray,
     t: np.ndarray,
     bet: np.ndarray,
     qs: np.ndarray,
@@ -618,22 +746,22 @@ def _fold_block(
     i0 = -int(qs[0])
     free = _free_phase(qs, t, bet, params)
 
-    def mirror_and_gate(amps):  # even sector: refill rows c_D .. c_1, gate the top band
-        amps[:i0] = amps[2 * i0 : i0 : -1]
+    def mirror_and_gate(amps):  # even sector: refill rows c_-D .. c_-1, gate the top band
+        _mirror_even(amps, i0)
         _check_edge_population(float(np.abs(amps[-EDGE_BAND:]).max() ** 2), q_max)
 
     amps = np.zeros((qs.size, t.size), dtype=np.complex128)
     amps[i0, :] = 1.0
     hook = mirror_and_gate if even else partial(_check_edges, q_max=q_max)
-    amps = _kick_columns(amps, (kernel,) * n_kicks, free, hook=hook)
+    amps = _kick_columns(amps, (slab,) * n_kicks, free, hook=hook)
 
-    # Row weights of the fold: the parity (-1)^q, doubled on an even-sector
-    # row q >= 1, which stands for the rungs +q and -q.
+    # Row weights of the fold: 2 on an even-sector row q >= 1, which stands
+    # for the rungs +q and -q (c'_-q^2 = c'_q^2), else 1.
     first = i0 if even else 0
-    weight = np.where(qs[first:] % 2 == 0, 1.0, -1.0)
+    weight = np.ones(qs.size - first)
     if even:
-        weight[1:] *= 2.0
-    _check_norms(amps[first:] * np.sqrt(np.abs(weight))[:, None], "over the forward train")
+        weight[1:] = 2.0
+    _check_norms(amps[first:] * np.sqrt(weight)[:, None], "over the forward train")
     terms = amps[first:] ** 2
     terms /= free[first:]
     terms *= weight[:, None]
@@ -643,6 +771,14 @@ def _fold_block(
     for row in terms[1:]:
         total += row
     return free[i0] * total
+
+
+def _mirror_even(amps: np.ndarray, i0: int) -> None:
+    """Refill rows q = -i0 .. -1 of an even-sector block (rows from -i0),
+    in the basis c'_q = i^q c_q, from rows i0 .. 1: an even state has
+    c'_-q = (-1)^q c'_q."""
+    parity = np.where(np.arange(-i0, 0) % 2 == 0, 1.0, -1.0)
+    np.multiply(amps[2 * i0 : i0 : -1], parity[:, None], out=amps[:i0])
 
 
 def resonant_return_amplitudes(

@@ -9,6 +9,7 @@ else here is symmetry: unitarity, parity, time reversal, revival.
 
 import inspect
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -118,6 +119,70 @@ def test_kick_then_inverse_kick_is_identity():
     state = _random_state(rng, q_max=35, spread=8, beta=0.21)
     back = apply_kick(apply_kick(state, 1.3, +1), 1.3, -1)
     assert np.max(np.abs(back.amps - state.amps)) < 1e-12
+
+
+def _i_power(q: np.ndarray) -> np.ndarray:
+    """i^q on rungs q, exact."""
+    return np.array([1.0, 1j, -1.0, -1j])[q % 4][:, None]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    phi_d=st.floats(min_value=0.0, max_value=100.0),
+    q_max=st.one_of(st.integers(min_value=EDGE_BAND + 1, max_value=80), st.just(2600)),
+    sign=st.sampled_from([+1, -1]),
+    even=st.booleans(),
+    columns=st.integers(min_value=1, max_value=17),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(phi_d=5.0, q_max=6, sign=-1, even=True, columns=3, seed=1)
+@example(phi_d=100.0, q_max=2600, sign=+1, even=False, columns=9, seed=2)
+@example(phi_d=1.25, q_max=2600, sign=-1, even=True, columns=1, seed=3)
+def test_banded_kick_matches_convolution(phi_d, q_max, sign, even, columns, seed):
+    """The engine's kick, a real banded product in the basis c'_q = i^q c_q,
+    rotated back, is the Bessel convolution of apply_kick: on the full
+    ladder, and on the even sector, whose rows -D .. -1 the mirror fills
+    with c'_-q = (-1)^q c'_q.  Covers ladders narrower than the kernel
+    half-width D and the cap-sized q_max = 2600."""
+    rng = np.random.default_rng(seed)
+    qs = np.arange(-q_max, q_max + 1)
+    amps = rng.standard_normal((qs.size, columns)) + 1j * rng.standard_normal((qs.size, columns))
+    if even:
+        amps += amps[::-1]
+    amps /= np.linalg.norm(amps, axis=0)
+    expected = ladder._convolve_kick(amps, kick_kernel(phi_d, sign))
+    slab = ladder._kick_slab(phi_d, sign)
+    rotated = _i_power(qs) * amps
+    if even:
+        lead = min((slab.shape[1] - ladder.KICK_ROWS) // 2, q_max)
+        rotated = rotated[q_max - lead :]
+        mirror = rotated[:lead].copy()
+        rotated[:lead] = np.nan
+        ladder._mirror_even(rotated, lead)
+        assert np.array_equal(rotated[:lead], mirror)
+        qs, expected = qs[q_max - lead :], expected[q_max - lead :]
+    kicked = ladder._kick_columns(rotated, (slab,), np.ones(rotated.shape))
+    kicked = kicked * _i_power(-qs)
+    rows = qs >= 0 if even else slice(None)
+    assert np.max(np.abs(kicked[rows] - expected[rows])) <= 1e-14
+
+
+@pytest.mark.parametrize("phi_d", [1.25, 100.0])
+def test_kick_operator_stays_banded_at_the_cap(phi_d):
+    """Building and applying one kick on a cap-sized ladder (q_max = 2600,
+    5201 sites) takes a slab and two column buffers, not a sites x sites
+    matrix (216 MB in float64)."""
+    q_max = 2600
+    amps = np.zeros((2 * q_max + 1, 1), dtype=np.complex128)
+    amps[q_max] = 1.0
+    tracemalloc.start()
+    try:
+        slab = ladder._kick_slab(phi_d, +1)
+        ladder._kick_columns(amps, (slab,), np.ones(amps.shape))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_free_evolution_talbot_revival(params):
