@@ -1,11 +1,12 @@
 """Command-line front end: one subcommand per experiment kind.
 
 Every run resolves its configuration (defaults < config file < --set
-overrides < named flags), validates it fully, computes, and only then
-writes two files: the CSV named by --out and a JSON sidecar next to it
-(same path, .json extension) holding the resolved config, derived
-constants, and extracted metrics.  Re-feeding the sidecar via --config
-reproduces the CSV byte for byte; nothing here is stochastic.
+overrides < named flags), validates it fully, and computes, writing the
+CSV as it goes into a temporary file beside --out.  Only a run that
+completes writes its JSON sidecar next to --out (same path, .json
+extension; the resolved config, derived constants, and extracted
+metrics) and then moves the CSV into place.  Re-feeding the sidecar via
+--config reproduces the CSV byte for byte; nothing here is stochastic.
 
 Exit codes: 0 success, 2 invalid configuration, 3 engine failure
 (truncation, non-convergence, peak extraction), 4 file-system error.
@@ -20,10 +21,11 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable
-from typing import Any, NamedTuple
+from typing import Any, BinaryIO, NamedTuple
 
 import numpy as np
 
+from ._floatfmt import render_rows
 from .analytic import fwhm_accel, fwhm_eps, fwhm_p0
 from .config import (
     FORMAT_VERSION,
@@ -190,61 +192,54 @@ def _format_cell(value: Any) -> str:
     return repr(float(value))
 
 
-def _render_row(row: list[Any]) -> str:
-    """One CSV line, each cell as _format_cell writes it.
-
-    A run of plain Python floats (the populations of a momentum-history
-    row) goes through one repr of the run, which writes each float as
-    repr(float) does.  The test is type(cell) is float: np.float64 is a
-    float subclass, and inside a list numpy 2 writes it as np.float64(...).
-    """
-    parts = []
-    start, n = 0, len(row)
-    while start < n:
-        end = start
-        while end < n and type(row[end]) is float:
-            end += 1
-        if end > start:
-            parts.append(repr(list(row[start:end]))[1:-1].replace(", ", ","))
-        if end < n:
-            parts.append(_format_cell(row[end]))
-        start = end + 1
-    return ",".join(parts)
-
-
 def _render_csv(header: list[str], rows: Iterable[list[Any]]) -> str:
     lines = [",".join(header)]
     for row in rows:
         if len(row) != len(header):
             raise AssertionError("row width does not match header")
-        lines.append(_render_row(row))
+        lines.append(",".join(_format_cell(cell) for cell in row))
     return "\n".join(lines) + "\n"
+
+
+def _write_csv(fh: BinaryIO, header: list[str], rows: Iterable[list[Any]]) -> None:
+    fh.write(_render_csv(header, rows).encode("utf-8"))
 
 
 def sidecar_path(out_path: str) -> str:
     return os.path.splitext(out_path)[0] + ".json"
 
 
-def _write_outputs(
-    out_path: str,
-    header: list[str],
-    rows: Iterable[list[Any]],
-    sidecar: dict[str, Any],
-) -> str:
-    """Serialize fully, then write; nothing is left written if rendering or
-    either write fails."""
-    csv_text = _render_csv(header, rows)
-    json_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+def _run_to_files(config: RunConfig, out_path: str) -> tuple[str, dict[str, Any]]:
+    """Run config's kind, its runner writing the CSV into a temporary file
+    beside out_path; then write the JSON sidecar and move the CSV into
+    place.  A failure at any step leaves neither output file and no
+    temporary file.  Returns the sidecar path and the metrics."""
+    directory, name = os.path.split(out_path)
+    tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     json_path = sidecar_path(out_path)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text)
+    json_written = False
+    fh = open(tmp_path, "xb")
     try:
-        with open(json_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(json_text)
-    except OSError:
-        os.remove(out_path)
+        with fh:
+            derived, metrics = _RUNNERS[config.kind](config, fh)
+        sidecar = {
+            "format_version": FORMAT_VERSION,
+            "kind": config.kind,
+            "config": config.as_json_dict(),
+            "derived": derived,
+            "metrics": metrics,
+        }
+        json_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+        with open(json_path, "w", encoding="utf-8", newline="") as jf:
+            json_written = True
+            jf.write(json_text)
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        os.remove(tmp_path)
+        if json_written:
+            os.remove(json_path)
         raise
-    return json_path
+    return json_path, metrics
 
 
 def _derived(params: PhysicalParams, **extra: float) -> dict[str, float]:
@@ -268,7 +263,7 @@ def _sequence_spec(config: RunConfig, params: PhysicalParams) -> SequenceSpec:
     )
 
 
-def _run_echo(config: RunConfig):
+def _run_echo(config: RunConfig, fh: BinaryIO):
     params = config.physical_params()
     spec = _sequence_spec(config, params)
     sigma_um = config.get("sigma_x_um")
@@ -293,26 +288,34 @@ def _run_echo(config: RunConfig):
         output = float(abs(amp) ** 2)
     header = ["eps_s", "beta", "accel_m_s2", "output_I"]
     rows = [[config["eps_ns"] * 1e-9, config["beta"], config["accel"], output]]
-    return header, rows, _derived(params, phi_d=config["phi_d"]), {"I": output}
+    _write_csv(fh, header, rows)
+    return _derived(params, phi_d=config["phi_d"]), {"I": output}
 
 
-def _run_momentum_history(config: RunConfig):
+def _run_momentum_history(config: RunConfig, fh: BinaryIO):
+    """The engine hands over blocks of rows, and each is rendered in bulk
+    and written at once, so no more than a block of the history is held."""
     params = config.physical_params()
     spec = _sequence_spec(config, params)
-    q_values, history = momentum_history(spec, config["beta"], params)
-    header = ["kick_index"] + [f"pop_q_{q}" for q in q_values.tolist()]
-    # A generator: one row of Python floats exists at a time.
-    rows = ([kick + 1] + pops.tolist() for kick, pops in enumerate(history))
-    q0 = int(np.nonzero(q_values == 0)[0][0])
-    metrics = {
-        "I": float(history[-1, q0]),
-        "n_kicks_total": history.shape[0],
-        "n_sites": int(q_values.size),
-    }
-    return header, rows, _derived(params, phi_d=config["phi_d"]), metrics
+    kicks = 0
+    final = 0.0
+
+    def write_block(q_values: np.ndarray, block: np.ndarray) -> None:
+        nonlocal kicks, final
+        if kicks == 0:
+            header = ["kick_index"] + [f"pop_q_{q}" for q in q_values.tolist()]
+            fh.write((",".join(header) + "\n").encode("utf-8"))
+        rows = render_rows(block)
+        fh.write(b"".join(b"%d,%s\n" % (kicks + i, row) for i, row in enumerate(rows, 1)))
+        kicks += len(rows)
+        final = float(block[-1][q_values == 0][0])
+
+    q_values, _ = momentum_history(spec, config["beta"], params, sink=write_block)
+    metrics = {"I": final, "n_kicks_total": kicks, "n_sites": int(q_values.size)}
+    return _derived(params, phi_d=config["phi_d"]), metrics
 
 
-def _run_scan(config: RunConfig):
+def _run_scan(config: RunConfig, fh: BinaryIO):
     kind = _SCAN_TABLE[config.kind]
     params = config.physical_params()
     unit = kind.unit(params)
@@ -354,16 +357,17 @@ def _run_scan(config: RunConfig):
         list(pair)
         for pair in zip((curve.control / unit).tolist(), curve.output.tolist())
     ]
+    _write_csv(fh, header, rows)
     width, peak, predicted = kind.metrics
     metrics = {
         width: curve.fwhm / unit,
         peak: curve.peak_center / unit,
         predicted: kind.predicted(config["n_kicks"], spec.phi_d, params) / unit,
     }
-    return header, rows, derived, metrics
+    return derived, metrics
 
 
-def _run_tau_min_sweep(config: RunConfig):
+def _run_tau_min_sweep(config: RunConfig, fh: BinaryIO):
     params = config.physical_params()
     gamma = config["gamma"]
     n_values = sorted(set(config.n_values()))
@@ -387,6 +391,7 @@ def _run_tau_min_sweep(config: RunConfig):
         rows.append(
             [n, gamma, tau_min, w_min, math.sqrt(gamma) * n, gamma * n]
         )
+    _write_csv(fh, header, rows)
     derived = _derived(params, gamma=gamma, v0_j=v0_from_gamma(gamma, params))
     metrics = {
         "n_pulses": [row[0] for row in rows],
@@ -399,14 +404,14 @@ def _run_tau_min_sweep(config: RunConfig):
             row[3] * gamma * row[0] ** 2 * 1e6 for row in rows
         ],
     }
-    return header, rows, derived, metrics
+    return derived, metrics
 
 
-def _run_fit_scaling(config: RunConfig):
+def _run_fit_scaling(config: RunConfig, fh: BinaryIO):
     x_col, v_col = config["x_column"], config["value_column"]
     points: list[tuple[float, float]] = []
-    with open(config["data_csv"], "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(config["data_csv"], "r", encoding="utf-8", newline="") as data:
+        reader = csv.DictReader(data)
         columns = reader.fieldnames or []
         for col in (x_col, v_col):
             if col not in columns:
@@ -428,6 +433,7 @@ def _run_fit_scaling(config: RunConfig):
         [x, v, fit.prefactor * x**fit.exponent / config["scale_factor"]]
         for x, v in sorted(points)
     ]
+    _write_csv(fh, header, rows)
     params = config.physical_params()
     metrics = {
         "exponent": fit.exponent,
@@ -435,10 +441,10 @@ def _run_fit_scaling(config: RunConfig):
         "residual": fit.residual,
         "n_points": len(points),
     }
-    return header, rows, _derived(params), metrics
+    return _derived(params), metrics
 
 
-def _run_peak_shift(config: RunConfig):
+def _run_peak_shift(config: RunConfig, fh: BinaryIO):
     params = config.physical_params()
     gamma = config["gamma"]
     tau_p = config["tau_p_us"] * 1e-6
@@ -448,12 +454,13 @@ def _run_peak_shift(config: RunConfig):
     ]
     header = ["multiple_l", "delta_eps_s"]
     rows = [[l + 1, shift] for l, shift in enumerate(shifts)]
+    _write_csv(fh, header, rows)
     v0 = v0_from_gamma(gamma, params)
     derived = _derived(params, gamma=gamma, v0_j=v0, phi_d=v0 * tau_p / (2.0 * HBAR))
     metrics: dict[str, Any] = {"delta_eps_s": shifts}
     if len(shifts) >= 2 and shifts[0] != 0.0:
         metrics["rel_diff_l2_l1"] = abs(shifts[1] - shifts[0]) / abs(shifts[0])
-    return header, rows, derived, metrics
+    return derived, metrics
 
 
 _RUNNERS = {
@@ -477,15 +484,7 @@ def main(argv: list[str] | None = None) -> int:
         sources.append(_parse_overrides(args.overrides))
         sources.append(_flag_source(args))
         config = resolve(args.kind, *sources)
-        header, rows, derived, metrics = _RUNNERS[args.kind](config)
-        sidecar = {
-            "format_version": FORMAT_VERSION,
-            "kind": config.kind,
-            "config": config.as_json_dict(),
-            "derived": derived,
-            "metrics": metrics,
-        }
-        json_path = _write_outputs(args.out, header, rows, sidecar)
+        json_path, metrics = _run_to_files(config, args.out)
     except (EngineError, InsufficientSpanError) as exc:
         print(f"error: engine: {exc}", file=sys.stderr)
         return EXIT_ENGINE

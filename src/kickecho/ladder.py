@@ -145,6 +145,13 @@ TAIL_FLUSH = 8
 # blocks.
 BLOCK_ENTRIES = 32768
 
+# momentum_history hands a sink its rows in blocks of at most this many
+# cells (sites x rows), so a caller that writes them out never holds the
+# whole (2N x sites) history.  The CLI renders each block in bulk
+# (kickecho._floatfmt), whose per-call cost is amortised over blocks this
+# large.
+HISTORY_BLOCK_CELLS = 4096
+
 
 @dataclass
 class LadderState:
@@ -574,28 +581,47 @@ def momentum_history(
     beta: float,
     params: PhysicalParams,
     q_max: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    sink=None,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Populations |c_q|^2 after each of the 2*n_kicks kicks.
 
     Returns (q_values, history) with history.shape = (2*n_kicks, sites).
     One column of the engine, gated as in batched_return_amplitudes.
+
+    With sink given, the history is handed over instead of kept, and
+    history is None: sink(q_values, block) receives the rows in order, in
+    blocks of at most HISTORY_BLOCK_CELLS cells (one row at least).  block
+    is a buffer that is overwritten after the call.  When a gate raises,
+    the blocks before the failing kick may have been handed over already.
     """
     start = ground_state(beta, auto_q_max(seq.n_kicks, seq.phi_d) if q_max is None else q_max)
     q_max, qs = start.q_max, start.q_values
-    history = np.empty((2 * seq.n_kicks, qs.size))
-    rows = iter(history)
+    rows = 2 * seq.n_kicks
+    if sink is not None:
+        rows = min(rows, max(1, HISTORY_BLOCK_CELLS // qs.size))
+    block = np.empty((rows, qs.size))
+    filled = 0
 
     def record(amps):
+        nonlocal filled
         _check_edges(amps, q_max)
-        row = next(rows)
+        row = block[filled]
         np.abs(amps[:, 0], out=row)
         np.square(row, out=row)
+        filled += 1
+        if filled == rows and sink is not None:
+            sink(qs, block)
+            filled = 0
 
     flight = _accelerated_flight(qs, seq.period, beta, seq.accel, params)
     slabs = _train_slabs(seq.n_kicks, seq.phi_d)
     amps = _kick_columns(start.amps[:, None], slabs, *flight, record)
     _check_norms(amps, "over the sequence")
-    return qs, history
+    if sink is None:
+        return qs, block
+    if filled:
+        sink(qs, block[:filled])
+    return qs, None
 
 
 def train_matrix(

@@ -10,13 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kickecho.analytic import fwhm_accel, fwhm_eps, fwhm_p0
+from kickecho import ladder
 from kickecho.cli import _format_cell, _render_csv, main, sidecar_path
 from kickecho.config import resolve
+from kickecho.errors import TruncationError
 from kickecho.finite_pulse import FinitePulseSpec
 from kickecho.ladder import (
     SequenceSpec,
     WavepacketSpec,
     batched_return_amplitudes,
+    momentum_history,
     resonant_return_amplitudes,
 )
 from kickecho.params import v0_from_gamma
@@ -246,6 +249,51 @@ def test_momentum_history_layout(tmp_path):
     assert side["metrics"]["I"] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_momentum_history_csv_matches_cellwise_format(tmp_path):
+    """The history, rendered in bulk block by block, is byte for byte the
+    CSV that formatting every cell on its own gives."""
+    out = str(tmp_path / "hist.csv")
+    assert run_cli(
+        "momentum-history", "--set", "n_kicks=100", "--set", "phi_d=2", "--set", "beta=0.05",
+        "--out", out,
+    ) == 0
+    params = resolve("momentum-history", {"n_kicks": 100, "phi_d": 2.0}).physical_params()
+    spec = SequenceSpec(100, 2.0, params.talbot_time)
+    q_values, history = momentum_history(spec, 0.05, params)
+    assert history.size > 4 * ladder.HISTORY_BLOCK_CELLS
+    header = ["kick_index"] + [f"pop_q_{q}" for q in q_values.tolist()]
+    rows = [[k] + row for k, row in enumerate(history.tolist(), 1)]
+    assert open(out, "rb").read() == _render_csv(header, rows).encode()
+
+
+def test_failed_history_leaves_no_file(tmp_path, monkeypatch, capsys):
+    """An edge-gate failure after the first block was written exits 3 with
+    the gate's message and leaves no CSV, sidecar or temporary file."""
+    real_gate = ladder._check_edges
+    calls, listed, messages = [0], [], []
+
+    def gate(amps, q_max):
+        calls[0] += 1
+        if calls[0] > max(1, ladder.HISTORY_BLOCK_CELLS // amps.shape[0]):
+            listed.extend((p.name, p.stat().st_size) for p in tmp_path.iterdir())
+            try:
+                ladder._check_edge_population(1.0, q_max)
+            except TruncationError as exc:
+                messages.append(str(exc))
+                raise
+        real_gate(amps, q_max)
+
+    monkeypatch.setattr(ladder, "_check_edges", gate)
+    out = str(tmp_path / "hist.csv")
+    code = run_cli("momentum-history", "--set", "n_kicks=20", "--set", "phi_d=2", "--out", out)
+    assert code == 3
+    assert capsys.readouterr().err == f"error: engine: {messages[0]}\n"
+    # The first block had been written to a temporary file beside --out.
+    [(name, size)] = listed
+    assert name.startswith(".hist.csv.") and name.endswith(".tmp") and size > 0
+    assert os.listdir(tmp_path) == []
+
+
 def test_scan_kinds_report_widths(tmp_path):
     base = ("--set", "n_kicks=10", "--set", "phi_d=0.5", "--points", "33")
     for kind, metric in [
@@ -426,8 +474,7 @@ _EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e22, 0.1]
 @example([1] + _EDGE_FLOATS)
 @example(_EDGE_FLOATS + [np.float64(0.5), "x,y", 3, -0.0])
 def test_render_csv_float_runs_match_cellwise_format(row):
-    """Runs of plain floats render in one repr; the text equals formatting
-    every cell on its own."""
+    """Rendered rows equal formatting every cell on its own."""
     header = [f"c{i}" for i in range(len(row))]
     expected = ",".join(_format_cell(cell) for cell in row)
     assert _render_csv(header, [row, row]) == "\n".join(

@@ -5,7 +5,8 @@ own numpy code, so a fresh process that runs one loads no scipy module at
 all.  The finite-pulse kinds load scipy.linalg for the tridiagonal
 eigensolver, and the Gaussian echo loads scipy.special for its
 Gauss-Hermite rule; those imports happen inside the functions that use
-them, so they cost nothing to the other kinds.
+them, so they cost nothing to the other kinds.  Likewise the bulk float
+writer of the momentum history builds its tables on first use.
 """
 
 import json
@@ -83,3 +84,23 @@ def test_gaussian_echo_is_the_one_delta_kick_kind_that_loads_scipy(tmp_path):
         tmp_path, "echo", "--set", "n_kicks=5", "--set", "phi_d=0.5", "--set", "sigma_x_um=100"
     )
     assert "scipy.special" in loaded
+
+
+def test_importing_the_cli_builds_no_float_tables(tmp_path):
+    """The bulk float writer builds its power-of-ten table on first use, so
+    importing the CLI costs nothing for it; a history run builds it."""
+    probe = (
+        "from kickecho import _floatfmt, cli\n"
+        "print(_floatfmt._tables.cache_info().currsize)\n"
+        "cli.main(['momentum-history', '--out', 'h.csv', '--set', 'n_kicks=2',"
+        " '--set', 'phi_d=0.5'])\n"
+        "print(_floatfmt._tables.cache_info().currsize)\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("0", "1")

@@ -486,6 +486,21 @@ def test_momentum_history_structure(params):
     assert history[-1, q0] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_momentum_history_sink_gets_the_history_in_bounded_blocks(params):
+    """With a sink, the same rows arrive in order, in blocks of at most
+    HISTORY_BLOCK_CELLS cells, and no history is returned."""
+    seq = SequenceSpec(40, 2.0, params.talbot_time + 1e-9)
+    q_values, history = momentum_history(seq, 0.1, params)
+    blocks = []
+    qs, none = momentum_history(
+        seq, 0.1, params, sink=lambda q, block: blocks.append((q, block.copy()))
+    )
+    assert none is None and np.array_equal(qs, q_values)
+    assert len(blocks) > 1
+    assert all(b.size <= ladder.HISTORY_BLOCK_CELLS and q is qs for q, b in blocks)
+    assert np.array_equal(np.concatenate([b for _, b in blocks]), history)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n_kicks=st.integers(min_value=1, max_value=8),
