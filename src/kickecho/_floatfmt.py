@@ -10,7 +10,7 @@ history through it; repr costs over a microsecond a cell.
   v = c 2^q, the shortest decimal d 10^k in v's rounding interval, and
   of two such the closer to v (the even one on a tie), as repr does.  It
   needs floor(g cp / 2^127), rounded to odd, of a 126-bit approximation
-  g of 10^-k and a 59-bit cp; the 64x64 -> 128-bit products are built
+  g of 10^-k and a 60-bit cp; the 64x64 -> 128-bit products are built
   from 32-bit halves in uint64 arithmetic.  The 617 powers g and the
   per-exponent constants come from _tables, built with Python ints on
   first use, so importing this module builds nothing.
@@ -28,8 +28,8 @@ history through it; repr costs over a microsecond a cell.
   has fewer, and for some of the smallest Schubfach alone misses the
   shortest form (it writes 4.9e-324 where repr writes 5e-324).
 
-Integer arrays stay uint64, with np.uint64 scalars: mixing uint64 and
-int64 operands promotes to float64.
+The digit step keeps its arrays uint64, with np.uint64 scalars: mixing
+uint64 and int64 operands promotes to float64.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ _ONE_BITS = _U(0x3FF << 52)
 _IRREGULAR = 2048
 # Schubfach's decimal exponents k over all float64.
 _K_MIN, _K_MAX = -324, 292
-_D4 = _U(10**4)
-_D8 = _U(10**8)
 _D16 = _U(10**16)
 _D17 = _U(10**17)
 
@@ -159,23 +157,23 @@ def _tables() -> _Tables:
     )
 
 
-def _mul(a_lo, a_hi, b_lo, b_hi):
-    """(high, low) 64-bit words of the 128-bit products a b, from their
-    32-bit halves."""
-    p00 = a_lo * b_lo
-    p01 = a_lo * b_hi
-    p10 = a_hi * b_lo
-    mid = (p00 >> _U(32)) + (p01 & _MASK32) + (p10 & _MASK32)
-    hi = a_hi * b_hi + (p01 >> _U(32)) + (p10 >> _U(32)) + (mid >> _U(32))
-    return hi, (mid << _U(32)) | (p00 & _MASK32)
-
-
 def _round_to_odd(g, cp):
     """floor(g cp / 2^127), its last bit set when that is inexact
-    (Giulietti's rop); g holds the 32-bit halves of g0 and g1."""
+    (Giulietti's rop); g holds the 32-bit halves of g0 and g1.
+
+    The 128-bit products g0 cp and g1 cp are built from 32-bit halves.
+    As g0, g1 < 2^63 and cp < 2^60, the two middle partial products and
+    the carry of the low one sum without overflow.
+    """
     cp_lo, cp_hi = cp & _MASK32, cp >> _U(32)
-    x1, _ = _mul(g[0], g[1], cp_lo, cp_hi)
-    y1, y0 = _mul(g[2], g[3], cp_lo, cp_hi)
+    # High word of g0 cp.
+    mid = g[0] * cp_hi + g[1] * cp_lo + ((g[0] * cp_lo) >> _U(32))
+    x1 = g[1] * cp_hi + (mid >> _U(32))
+    # Both words of g1 cp.
+    low = g[2] * cp_lo
+    mid = g[2] * cp_hi + g[3] * cp_lo + (low >> _U(32))
+    y1 = g[3] * cp_hi + (mid >> _U(32))
+    y0 = (mid << _U(32)) | (low & _MASK32)
     z = (y0 >> _U(1)) + x1
     return (y1 + (z >> _U(63))) | (((z & _MASK63) + _MASK63) >> _U(63))
 
@@ -227,17 +225,18 @@ def _text(block: np.ndarray) -> bytes:
     zero = mag == _U(0)
     special = ((mag < _HIDDEN) & ~zero) | (mag >= _INF_BITS)
     d, k = _shortest(t, np.where(zero | special, _ONE_BITS, mag))
-    # 17 digits: d = 10^17 ends in a zero to drop.  Zero is 0.0, a 0
-    # before the point.
+    # Pad d to 17 digits (d = 10^17 drops a zero).  A zero cell is the
+    # digit 0 before the point: 0.0.
     ge16, ge17 = d >= _D16, d >= _D17
     padded = np.where(ge16, d, d * _U(10))
     padded[ge17] = _D16
     padded[zero] = 0
     point = k + 16 + ge16 + ge17
     point[zero] = 1
-    high, low = divmod(padded, _D8)
-    lead, high = divmod(high, _D8)
-    quads = (lead, *divmod(high, _D4), *divmod(low, _D4))
+    # The lead digit and four groups of four, as int64 indices.
+    high, low = divmod(padded.view(np.int64), 10**8)
+    lead, high = divmod(high, 10**8)
+    quads = (lead, *divmod(high, 10**4), *divmod(low, 10**4))
     exp = np.abs(point - 1)
     words = np.empty((n, _WORDS), dtype=np.uint32)
     for i, quad in enumerate(quads):
@@ -252,7 +251,7 @@ def _text(block: np.ndarray) -> bytes:
     run = np.ones(n, dtype=bool)
     for quad in quads[:0:-1]:
         zeros += run * t.trailing[quad]
-        run &= quad == _U(0)
+        run &= quad == 0
 
     fixed = (point >= _FIXED_LO) & (point <= _FIXED_HI)
     layout = np.where(fixed, point - _FIXED_LO, _N_FIXED + 2 * (point > 1) + (exp >= 100))
