@@ -214,11 +214,13 @@ def _shortest(t: _Tables, mag):
     return d, t.k[idx]
 
 
-def _text(block: np.ndarray) -> bytes:
-    """The cells of a 2-D float block, each followed by a comma, or by a
-    newline at the end of a row."""
+def render_rows(block: np.ndarray) -> list[bytes]:
+    """Each row of the 2-D float block as the bytes of
+    ",".join(repr(float(x)) for x in row)."""
+    rows, cols = block.shape
+    if rows * cols == 0:
+        return [b""] * rows
     t = _tables()
-    cols = block.shape[1]
     bits = np.ascontiguousarray(block, dtype=np.float64).view(np.uint64).reshape(-1)
     n = bits.size
     mag = bits & ~_SIGN
@@ -269,13 +271,5 @@ def _text(block: np.ndarray) -> bytes:
         chars[cells] = table[inverse]
         sizes = np.array([len(text) for text in texts])[inverse]
         chars[cells, sizes] = source[cells, _SEP]
-    return chars[chars != 0].tobytes()
-
-
-def render_rows(block: np.ndarray) -> list[bytes]:
-    """Each row of the 2-D float block as the bytes of
-    ",".join(repr(float(x)) for x in row)."""
-    rows, cols = block.shape
-    if rows * cols == 0:
-        return [b""] * rows
-    return _text(block).split(b"\n")[:-1]
+    # Each cell ends in a comma, or in a newline at the end of a row.
+    return chars[chars != 0].tobytes().split(b"\n")[:-1]

@@ -25,7 +25,6 @@ from typing import Any, BinaryIO, NamedTuple
 
 import numpy as np
 
-from ._floatfmt import render_rows
 from .analytic import fwhm_accel, fwhm_eps, fwhm_p0
 from .config import (
     FORMAT_VERSION,
@@ -295,6 +294,10 @@ def _run_echo(config: RunConfig, fh: BinaryIO):
 def _run_momentum_history(config: RunConfig, fh: BinaryIO):
     """The engine hands over blocks of rows, and each is rendered in bulk
     and written at once, so no more than a block of the history is held."""
+    # Imported here, so that a fresh process running another kind does
+    # not load it.
+    from ._floatfmt import render_rows
+
     params = config.physical_params()
     spec = _sequence_spec(config, params)
     kicks = 0

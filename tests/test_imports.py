@@ -6,7 +6,8 @@ all.  The finite-pulse kinds load scipy.linalg for the tridiagonal
 eigensolver, and the Gaussian echo loads scipy.special for its
 Gauss-Hermite rule; those imports happen inside the functions that use
 them, so they cost nothing to the other kinds.  Likewise the bulk float
-writer of the momentum history builds its tables on first use.
+writer of the momentum history loads with that kind and builds its tables
+on first use.
 """
 
 import json
@@ -87,13 +88,15 @@ def test_gaussian_echo_is_the_one_delta_kick_kind_that_loads_scipy(tmp_path):
 
 
 def test_importing_the_cli_builds_no_float_tables(tmp_path):
-    """The bulk float writer builds its power-of-ten table on first use, so
-    importing the CLI costs nothing for it; a history run builds it."""
+    """Importing the CLI does not load the bulk float writer, let alone
+    build its power-of-ten table; a history run does both."""
     probe = (
-        "from kickecho import _floatfmt, cli\n"
-        "print(_floatfmt._tables.cache_info().currsize)\n"
+        "import sys\n"
+        "from kickecho import cli\n"
+        "print('kickecho._floatfmt' in sys.modules)\n"
         "cli.main(['momentum-history', '--out', 'h.csv', '--set', 'n_kicks=2',"
         " '--set', 'phi_d=0.5'])\n"
+        "from kickecho import _floatfmt\n"
         "print(_floatfmt._tables.cache_info().currsize)\n"
     )
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -103,4 +106,4 @@ def test_importing_the_cli_builds_no_float_tables(tmp_path):
         capture_output=True, text=True, timeout=300, check=True,
     )
     lines = done.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("0", "1")
+    assert (lines[0], lines[-1]) == ("False", "1")
