@@ -217,7 +217,11 @@ def _run_to_files(config: RunConfig, out_path: str) -> tuple[str, dict[str, Any]
     tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     json_path = sidecar_path(out_path)
     json_written = False
-    fh = open(tmp_path, "xb")
+    try:
+        fh = open(tmp_path, "xb")
+    except OSError as exc:
+        # Name the path the user gave, not the temporary one.
+        raise OSError(exc.errno, exc.strerror, out_path) from None
     try:
         with fh:
             derived, metrics = _RUNNERS[config.kind](config, fh)

@@ -209,7 +209,9 @@ def test_io_failure_exit_code(tmp_path, capsys):
     out = str(tmp_path / "no" / "such" / "dir" / "echo.csv")
     code = run_cli("echo", "--set", "n_kicks=4", "--set", "phi_d=0.5", "--out", out)
     assert code == 4
-    assert capsys.readouterr().err.startswith("error: io:")
+    assert capsys.readouterr().err == (
+        f"error: io: [Errno 2] No such file or directory: {out!r}\n"
+    )
     # A sidecar that cannot be written takes its CSV with it.
     (tmp_path / "echo.json").mkdir()
     out = str(tmp_path / "echo.csv")
