@@ -216,7 +216,7 @@ def _run_to_files(config: RunConfig, out_path: str) -> tuple[str, dict[str, Any]
     directory, name = os.path.split(out_path)
     tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     json_path = sidecar_path(out_path)
-    json_written = False
+    json_created = False
     try:
         fh = open(tmp_path, "xb")
     except OSError as exc:
@@ -234,12 +234,12 @@ def _run_to_files(config: RunConfig, out_path: str) -> tuple[str, dict[str, Any]
         }
         json_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
         with open(json_path, "w", encoding="utf-8", newline="") as jf:
-            json_written = True
+            json_created = True
             jf.write(json_text)
         os.replace(tmp_path, out_path)
     except BaseException:
         os.remove(tmp_path)
-        if json_written:
+        if json_created:
             os.remove(json_path)
         raise
     return json_path, metrics

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kickecho.analytic import fwhm_accel, fwhm_eps, fwhm_p0
 from kickecho import ladder
+from kickecho.analytic import fwhm_accel, fwhm_eps, fwhm_p0
 from kickecho.cli import _format_cell, _render_csv, main, sidecar_path
 from kickecho.config import resolve
 from kickecho.errors import TruncationError
