@@ -405,18 +405,19 @@ def finite_gaussian_output(
     delta-kick gaussian_output.
 
     Finite-pulse sequences have zero acceleration, so parity gives
-    c_0(beta) = c_0(-beta).  The Gauss-Hermite rules used here have an odd
-    node count and mirror-symmetric nodes, so only the nodes with
-    beta >= 0 are run and their amplitudes are mirrored onto the rest.
+    c_0(beta) = c_0(-beta), and only the nodes with beta >= 0 are run
+    (_fiber_average).
     """
-
-    def amplitudes(betas: np.ndarray) -> np.ndarray:
-        half = finite_return_amplitudes(
-            spec.n_pulses, spec.v0, spec.tau_p, spec.period, betas[betas.size // 2 :], params
-        )
-        return np.concatenate([half[:0:-1], half])
-
-    return _fiber_average(amplitudes, wavepacket, params, tol, max_nodes)
+    return _fiber_average(
+        lambda betas: finite_return_amplitudes(
+            spec.n_pulses, spec.v0, spec.tau_p, spec.period, betas, params
+        ),
+        wavepacket,
+        params,
+        tol,
+        max_nodes,
+        even=True,
+    )
 
 
 # ---------------------------------------------------------------------------

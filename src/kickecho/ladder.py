@@ -48,7 +48,10 @@ phi_d = 0.5, sigma_x = 100 um Gaussian echo, which exits 3 on two
 trains; its folded 65-node rule returns I = 0.0751.  The benchmark keeps
 that echo as an operation that must exit 3, so the Gaussian path stays
 on two trains until the fiber quadrature and that operation change
-together.
+together.  It uses parity across fibers instead: at zero acceleration
+c_0(beta) = c_0(-beta) on the truncated ladder, so _fiber_average runs
+only the Gauss-Hermite nodes with beta >= 0 and mirrors them, for this
+echo and for finite_pulse.finite_gaussian_output alike.
 
 Resonant fibers.  At the period T = T_T the flight of period n is
 linear in the rung, F_n(q) = F_n(0) r_n^q with |r_n| = 1, a translation
@@ -63,10 +66,14 @@ resonant_return_amplitudes evaluates it for every plane-wave column at
 exactly T_T: p0 and accel scans at any acceleration (scans._outputs, so
 CLI scan-p0 and plane-wave scan-accel), the plane-wave echo with
 eps_ns = 0 and period_multiple = 1 (cli._run_echo), and the fibers of
-the Gaussian acceleration curves (scans.gaussian_accel_curve).  It is
-also the more accurate: on the 161 samples of the default p0 window at
+the Gaussian acceleration curves (scans.gaussian_accel_curve).  The
+partial products are separable, r_1 ... r_k = exp(-4 pi i beta k)
+exp(i theta_a k^2) with theta_a = kappa a T_T^2 / 2, so S over a grid of
+betas x accels is one matrix product of a (betas x 2N) and a (2N x
+accels) phase factor (_resonant_grid), with no running product to gather
+rounding error.  On the 161 samples of the default p0 window at
 N = 150, phi_d = 0.6, its outputs are off a 40-digit evaluation by at
-most 1.1e-11, the folded ladder's by 2.4e-10.  Two resonant paths keep
+most 6.7e-16, the folded ladder's by 2.4e-10.  Two resonant paths keep
 the ladder.  momentum_history records every rung after every kick; the
 same populations as a table of J_q(phi_d |S_k|)^2 took 0.42 s against
 the ladder's 0.045 s at N = 100, phi_d = 2.04.  gaussian_output stays on
@@ -820,24 +827,102 @@ def resonant_return_amplitudes(
     a^2 action term dropped).  Exact on the infinite ladder, so no ladder
     or gate is involved.  Non-finite inputs, and an n_kicks that is not
     a positive integer, raise ValueError.
+
+    The amplitudes are evaluated on the grid of distinct betas x distinct
+    accels (_resonant_grid) and gathered into the broadcast shape, so an
+    amplitude's bits do not depend on the other columns of the call.
     """
-    shape, (t, bet, acc) = _flat_columns(
-        "betas and accels", params.talbot_time, betas, accels
-    )
+    bet, acc = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (betas, accels))
+    np.broadcast_shapes(bet.shape, acc.shape)  # ValueError unless they broadcast
+    if not (np.isfinite(bet).all() and np.isfinite(acc).all()):
+        raise ValueError("betas and accels must all be finite")
     n_kicks = _check_n_kicks(n_kicks)
     if not (0.0 <= phi_d < math.inf):
         raise ValueError(f"phi_d must be finite and >= 0, got {phi_d!r}")
-    # The engine's own flight on rungs q = 0, 1: their ratio is r_n.
-    phase, step = _accelerated_flight(np.arange(2), t, bet, acc, params)
-    total = np.zeros(t.size, dtype=np.complex128)
-    shift = np.ones(t.size, dtype=np.complex128)
-    common = np.ones(t.size, dtype=np.complex128)
-    for sign in (+1.0,) * n_kicks + (-1.0,) * n_kicks:
-        total += sign * shift
-        shift *= phase[1] / phase[0]
-        common *= phase[0]
-        phase *= step
-    return (common * _bessel.j0(phi_d * np.abs(total))).reshape(shape)
+    # Adding 0.0 makes -0.0 and 0.0 one fiber with one set of bits.
+    (ub, ib), (ua, ia) = (np.unique(v + 0.0, return_inverse=True) for v in (bet, acc))
+    grid = _resonant_grid(n_kicks, phi_d, ub, 0.5 * params.kappa * ua * params.talbot_time**2)
+    return grid[ib.reshape(bet.shape), ia.reshape(acc.shape)]
+
+
+def _resonant_grid(
+    n_kicks: int, phi_d: float, betas: np.ndarray, theta: np.ndarray
+) -> np.ndarray:
+    """Closed-form return amplitudes on the grid betas x theta, theta_a =
+    kappa a T_T^2 / 2 the flight's linear phase per rung and period.
+
+    At T_T the flight of period n = 1 .. 2N on rung q is
+    F_n(q) = F_n(0) r_n^q, r_n = exp(-4 pi i beta) exp(i theta (2n - 1)),
+    so r_1 ... r_k = exp(-4 pi i beta k) exp(i theta k^2), and
+
+        S = sum_{k < 2N} s_k exp(-4 pi i beta k) exp(i theta k^2),
+        prod_n F_n(0) = exp(-4 pi i N beta^2 + i theta beta (2N)^2),
+
+    s_k = +1 for k < N and -1 after.  S is the product of a (betas x 2N)
+    and a (2N x theta) phase factor, taken in KICK_TILE x KICK_TILE tiles,
+    zero-padded: every np.matmul call has one shape whatever the grid, so
+    an entry's bits do not depend on the grid it is computed in (as in
+    _kick_columns).  The factors and products are built in blocks, of at
+    most 8 BLOCK_ENTRIES entries for the theta factor and BLOCK_ENTRIES
+    for the others.  A beta row takes about 2 sqrt(2N) exponentials and
+    a theta column about 3 sqrt(2N) (_square_phases), not 2N.
+    """
+    k = np.arange(2 * n_kicks, dtype=np.float64)
+    sign = np.where(k < n_kicks, 1.0, -1.0)
+    # exp(-4 pi i beta k) = exp(-4 pi i beta k0) exp(-4 pi i beta k1 m) with
+    # k = k1 m + k0, k0 < m.
+    m = math.isqrt(k.size - 1) + 1
+    fine = -4.0 * math.pi * np.arange(m)
+    coarse = fine * m
+    tile = KICK_TILE
+    # Block widths in whole tiles, at least one, at most the padded grid.
+    a_width = min(-(-theta.size // tile), max(1, 8 * BLOCK_ENTRIES // k.size // tile)) * tile
+    b_width = BLOCK_ENTRIES // max(k.size, a_width) // tile
+    b_width = min(-(-betas.size // tile), max(1, b_width)) * tile
+    out = np.empty((betas.size, theta.size), dtype=np.complex128)
+    for a0 in range(0, theta.size, a_width):
+        th = theta[a0 : a0 + a_width]
+        cols = np.zeros((a_width, k.size), dtype=np.complex128)
+        np.multiply(_square_phases(th, m)[:, : k.size], sign, out=cols[: th.size])
+        # (tiles, 2N, tile), contiguous: the right operands of the products.
+        cols = np.ascontiguousarray(cols.reshape(-1, tile, k.size).transpose(0, 2, 1))
+        for b0 in range(0, betas.size, b_width):
+            bet = betas[b0 : b0 + b_width]
+            rows = np.zeros((b_width, m, m), dtype=np.complex128)
+            np.multiply(
+                np.exp(1j * (bet[:, None, None] * coarse[:, None])),
+                np.exp(1j * (bet[:, None, None] * fine)),
+                out=rows[: bet.size],
+            )
+            rows = rows.reshape(b_width, m * m)[:, : k.size]
+            # (row tiles, column tiles, tile, tile), back to a block of the grid.
+            total = np.matmul(rows.reshape(-1, 1, tile, k.size), cols[None])
+            total = total.transpose(0, 2, 1, 3).reshape(b_width, a_width)
+            total = total[: bet.size, : th.size]
+            common = np.exp(1j * (
+                th * (4.0 * n_kicks**2) * bet[:, None]
+                - (4.0 * math.pi * n_kicks) * (bet * bet)[:, None]
+            ))
+            out[b0 : b0 + bet.size, a0 : a0 + th.size] = common * _bessel.j0(
+                phi_d * np.abs(total)
+            )
+    return out
+
+
+def _square_phases(theta: np.ndarray, m: int) -> np.ndarray:
+    """exp(i theta k^2) for k < m^2, shape (theta.size, m^2), from 3m
+    exponentials per theta: with k = k1 m + k0 (k0, k1 < m) it is
+    exp(i theta (k1 m)^2) exp(i theta k0^2) w^k1, w = exp(2 i theta m k0),
+    and the powers of w are a running product of fewer than m factors."""
+    j = np.arange(m, dtype=np.float64)
+    coarse = np.exp(1j * (theta[:, None] * (j * m) ** 2))
+    fine = np.exp(1j * (theta[:, None] * (j * j)))
+    step = np.exp(1j * (theta[:, None] * (2.0 * m * j)))
+    out = np.empty((theta.size, m, m), dtype=np.complex128)
+    for k1 in range(m):
+        np.multiply(fine, coarse[:, k1, None], out=out[:, k1])
+        fine *= step
+    return out.reshape(theta.size, m * m)
 
 
 @dataclass(frozen=True)
@@ -895,6 +980,8 @@ def gaussian_output(
     between the final and initial wavepackets.  Gauss-Hermite quadrature
     over the momentum density; the node count is doubled until the
     result changes by less than tol (relative), starting from 33 nodes.
+    Without acceleration parity gives c_0(beta) = c_0(-beta), so only the
+    nodes with beta >= 0 are run (_fiber_average).
     """
     return _fiber_average(
         lambda betas: batched_return_amplitudes(
@@ -904,6 +991,7 @@ def gaussian_output(
         params,
         tol,
         max_nodes,
+        even=seq.accel == 0.0,
     )
 
 
@@ -913,6 +1001,7 @@ def _fiber_average(
     params: PhysicalParams,
     tol: float,
     max_nodes: int,
+    even: bool = False,
 ) -> float:
     """|sum_j w_j c_0(beta_j)|^2 over Gauss-Hermite nodes of the wavepacket.
 
@@ -920,6 +1009,12 @@ def _fiber_average(
     node count starts at 33 and is doubled (2n - 1, so the count stays
     odd) until the result changes by less than tol (relative), so a cap
     below 65 nodes could never converge and raises ValueError.
+
+    With even set, the caller asserts c_0(beta) = c_0(-beta) (parity, at
+    zero acceleration).  The rules have an odd node count and
+    mirror-symmetric nodes, so amplitudes then gets only the nodes with
+    beta >= 0, from the middle node beta = 0 on, and their amplitudes
+    are mirrored onto the rest.
     """
     if max_nodes < 65:
         raise ValueError(f"max_nodes must be at least 65, got {max_nodes!r}")
@@ -927,7 +1022,12 @@ def _fiber_average(
     n = 33
     while n <= max_nodes:
         betas, weights = gaussian_beta_nodes(wavepacket, params, n)
-        val = float(np.abs(np.dot(weights, amplitudes(betas))) ** 2)
+        if even:
+            half = amplitudes(betas[n // 2 :])
+            amps = np.concatenate([half[:0:-1], half])
+        else:
+            amps = amplitudes(betas)
+        val = float(np.abs(np.dot(weights, amps)) ** 2)
         if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-12):
             return val
         prev = val

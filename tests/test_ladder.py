@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kickecho import ladder
+from kickecho import ladder, scans
 from kickecho.errors import TruncationError
 from kickecho.finite_pulse import delta_wavepacket_grid_output
 from kickecho.ladder import (
@@ -429,6 +429,86 @@ def test_resonant_closed_form_matches_the_engines(params, n_kicks, phi_d, beta, 
     assert abs(abs(closed[0]) - abs(state.amplitude(0))) <= 1e-10
 
 
+def _resonant_reference(n_kicks, phi_d, beta, accel, params):
+    """The closed form in 40-digit arithmetic from the same float inputs:
+    S = sum_k s_k exp(-4 pi i beta k + i theta k^2) and
+    c_0 = exp(-4 pi i N beta^2 + i theta beta (2N)^2) J_0(phi_d |S|)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        b = mp.mpf(float(beta))
+        theta = mp.mpf(params.kappa) * mp.mpf(float(accel)) * mp.mpf(params.talbot_time) ** 2 / 2
+        s = mp.fsum(
+            (1 if k < n_kicks else -1) * mp.expj(-4 * mp.pi * b * k + theta * k * k)
+            for k in range(2 * n_kicks)
+        )
+        common = mp.expj(-4 * mp.pi * n_kicks * b * b + theta * b * (2 * n_kicks) ** 2)
+        return complex(common * mp.besselj(0, mp.mpf(phi_d) * abs(s)))
+
+
+@pytest.mark.parametrize(
+    "n_kicks, bound", [(1, 1e-12), (7, 1e-12), (32, 1e-12), (150, 1e-12), (2000, 1e-10)]
+)
+def test_resonant_closed_form_matches_a_40_digit_evaluation(params, n_kicks, bound):
+    """The closed form stays within rounding of its 40-digit evaluation on
+    a (beta, accel) grid, where the phases theta_a k^2 reach 4e5 rad at
+    N = 2000."""
+    betas = np.array([-0.03, 0.0071, 0.03])
+    accels = np.array([-0.7, 0.13, 0.7])
+    got = resonant_return_amplitudes(n_kicks, 0.6, betas[:, None], accels[None, :], params)
+    want = np.array(
+        [[_resonant_reference(n_kicks, 0.6, b, a, params) for a in accels] for b in betas]
+    )
+    assert np.max(np.abs(got - want)) <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_kicks=st.integers(min_value=1, max_value=60),
+    betas=st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=1, max_size=20),
+    accels=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_resonant_amplitudes_do_not_depend_on_batching(params, n_kicks, betas, accels, data):
+    """A (beta, accel) column has the same bits alone, at any place in an
+    outer grid (any position in its tiles), and in the worker chunks of
+    scans._evaluate for W = 2 and 3, on both resonant scan axes."""
+    phi_d = 0.7
+    bet, acc = np.array(betas), np.array(accels)
+    grid = resonant_return_amplitudes(n_kicks, phi_d, bet[:, None], acc[None, :], params)
+    i = data.draw(st.integers(min_value=0, max_value=bet.size - 1))
+    j = data.draw(st.integers(min_value=0, max_value=acc.size - 1))
+    alone = resonant_return_amplitudes(n_kicks, phi_d, bet[i], acc[j], params)
+    assert np.array_equal(alone, grid[i, j : j + 1])
+    recoil = params.recoil_momentum
+    p0_alone = resonant_return_amplitudes(n_kicks, phi_d, bet[i] * recoil / recoil, acc[j], params)
+    accel_alone = resonant_return_amplitudes(n_kicks, phi_d, 0.0, acc[j], params)
+    p0_spec = SequenceSpec(n_kicks, phi_d, params.talbot_time, acc[j])
+    accel_spec = SequenceSpec(n_kicks, phi_d, params.talbot_time)
+    for workers in (2, 3):
+        p0 = scans._evaluate(p0_spec, params, "p0", bet * recoil, workers)
+        assert p0[i] == np.abs(p0_alone[0]) ** 2
+        outputs = scans._evaluate(accel_spec, params, "accel", acc, workers)
+        assert outputs[j] == np.abs(accel_alone[0]) ** 2
+
+
+def test_resonant_grid_stays_blocked(params):
+    """20001 betas x 33 accels at N = 300, the size of a Gaussian
+    acceleration curve's grid: the (betas x 2N) phase factor (183 MiB) is
+    built in blocks, so the call holds little more than the 10 MiB
+    output grid and its gathered copy (20.5 MiB measured; a per-column
+    running product over the same grid held 137 MiB)."""
+    betas = np.linspace(-0.004, 0.004, 20001)
+    accels = np.linspace(0.0, 0.002, 33)
+    tracemalloc.start()
+    try:
+        amps = resonant_return_amplitudes(300, 1.0, betas[None, :], accels[:, None], params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert amps.shape == (33, 20001)
+    assert peak < 32 * 2**20
+
+
 def test_batched_accelerated_matches_scalar_up_to_global_phase(params):
     """The batched runner drops the q-independent a^2 t^3 action term; the
     scalar path keeps it.  Their return amplitudes must differ by exactly
@@ -568,6 +648,51 @@ def test_gaussian_output_against_grid_oracle(params):
         seq.n_kicks, seq.phi_d, seq.period, wavepacket, params
     )
     assert fiber == pytest.approx(grid, abs=5e-7)
+
+
+def test_gaussian_output_mirrors_the_nonnegative_nodes(params, monkeypatch):
+    """Without acceleration only the beta >= 0 Gauss-Hermite nodes are run,
+    and mirroring their amplitudes matches running every node to 1e-15;
+    under acceleration every node runs."""
+    wp = WavepacketSpec(sigma_x=5e-6)
+    seen = []
+
+    def spy(*args):
+        seen.append(np.asarray(args[3]))
+        return batched_return_amplitudes(*args)
+
+    monkeypatch.setattr(ladder, "batched_return_amplitudes", spy)
+    seq = at_resonance(8, 0.5, params, detuning=2e-9)
+    folded = gaussian_output(seq, wp, params)
+    assert len(seen) >= 2
+    assert all(b[0] == 0.0 and np.all(b[1:] > 0.0) for b in seen)
+    betas, weights = gaussian_beta_nodes(wp, params, 2 * seen[-1].size - 1)
+    amps = batched_return_amplitudes(seq.n_kicks, seq.phi_d, seq.period, betas, 0.0, params)
+    assert abs(folded - abs(np.dot(weights, amps)) ** 2) <= 1e-15
+
+    seen.clear()
+    gaussian_output(at_resonance(8, 0.5, params, detuning=2e-9, accel=0.01), wp, params)
+    assert seen and all(b.size % 2 == 1 and b[0] < 0.0 for b in seen)
+
+
+def test_gaussian_echo_keeps_its_edge_failure_on_half_the_nodes(params, monkeypatch):
+    """The N = 40, phi_d = 0.5, sigma_x = 100 um echo still fails the edge
+    gate in the reversed train of its outer nodes when only the beta >= 0
+    half runs, with the same message."""
+    seen = []
+
+    def spy(*args):
+        seen.append(np.asarray(args[3]))
+        return batched_return_amplitudes(*args)
+
+    monkeypatch.setattr(ladder, "batched_return_amplitudes", spy)
+    with pytest.raises(TruncationError) as err:
+        gaussian_output(at_resonance(40, 0.5, params), WavepacketSpec(sigma_x=100e-6), params)
+    assert str(err.value) == (
+        "edge-band population 1.452e-12 exceeds 1e-12 on ladder with q_max = 49; "
+        "rerun with a wider ladder"
+    )
+    assert seen and all(np.all(b >= 0.0) for b in seen)
 
 
 MAX_NODES = inspect.signature(gaussian_output).parameters["max_nodes"].default
