@@ -73,7 +73,7 @@ betas x accels is one matrix product of a (betas x 2N) and a (2N x
 accels) phase factor (_resonant_grid), with no running product to gather
 rounding error.  On the 161 samples of the default p0 window at
 N = 150, phi_d = 0.6, its outputs are off a 40-digit evaluation by at
-most 6.7e-16, the folded ladder's by 2.4e-10.  Two resonant paths keep
+most 8.9e-16, the folded ladder's by 2.4e-10.  Two resonant paths keep
 the ladder.  momentum_history records every rung after every kick; the
 same populations as a table of J_q(phi_d |S_k|)^2 took 0.42 s against
 the ladder's 0.045 s at N = 100, phi_d = 2.04.  gaussian_output stays on
@@ -830,7 +830,10 @@ def resonant_return_amplitudes(
 
     The amplitudes are evaluated on the grid of distinct betas x distinct
     accels (_resonant_grid) and gathered into the broadcast shape, so an
-    amplitude's bits do not depend on the other columns of the call.
+    amplitude's bits do not depend on the other columns of the call.  The
+    cost is that of the grid: pass an outer grid or a vector against a
+    scalar.  n paired columns (betas and accels of one shape) cost an
+    n x n grid.
     """
     bet, acc = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (betas, accels))
     np.broadcast_shapes(bet.shape, acc.shape)  # ValueError unless they broadcast
@@ -839,6 +842,8 @@ def resonant_return_amplitudes(
     n_kicks = _check_n_kicks(n_kicks)
     if not (0.0 <= phi_d < math.inf):
         raise ValueError(f"phi_d must be finite and >= 0, got {phi_d!r}")
+    if bet.size == 0 or acc.size == 0:
+        return np.empty(np.broadcast_shapes(bet.shape, acc.shape), dtype=np.complex128)
     # Adding 0.0 makes -0.0 and 0.0 one fiber with one set of bits.
     (ub, ib), (ua, ia) = (np.unique(v + 0.0, return_inverse=True) for v in (bet, acc))
     grid = _resonant_grid(n_kicks, phi_d, ub, 0.5 * params.kappa * ua * params.talbot_time**2)
@@ -864,16 +869,10 @@ def _resonant_grid(
     an entry's bits do not depend on the grid it is computed in (as in
     _kick_columns).  The factors and products are built in blocks, of at
     most 8 BLOCK_ENTRIES entries for the theta factor and BLOCK_ENTRIES
-    for the others.  A beta row takes about 2 sqrt(2N) exponentials and
-    a theta column about 3 sqrt(2N) (_square_phases), not 2N.
+    for the others.
     """
     k = np.arange(2 * n_kicks, dtype=np.float64)
     sign = np.where(k < n_kicks, 1.0, -1.0)
-    # exp(-4 pi i beta k) = exp(-4 pi i beta k0) exp(-4 pi i beta k1 m) with
-    # k = k1 m + k0, k0 < m.
-    m = math.isqrt(k.size - 1) + 1
-    fine = -4.0 * math.pi * np.arange(m)
-    coarse = fine * m
     tile = KICK_TILE
     # Block widths in whole tiles, at least one, at most the padded grid.
     a_width = min(-(-theta.size // tile), max(1, 8 * BLOCK_ENTRIES // k.size // tile)) * tile
@@ -883,18 +882,13 @@ def _resonant_grid(
     for a0 in range(0, theta.size, a_width):
         th = theta[a0 : a0 + a_width]
         cols = np.zeros((a_width, k.size), dtype=np.complex128)
-        np.multiply(_square_phases(th, m)[:, : k.size], sign, out=cols[: th.size])
+        np.multiply(np.exp(1j * np.outer(th, k * k)), sign, out=cols[: th.size])
         # (tiles, 2N, tile), contiguous: the right operands of the products.
         cols = np.ascontiguousarray(cols.reshape(-1, tile, k.size).transpose(0, 2, 1))
         for b0 in range(0, betas.size, b_width):
             bet = betas[b0 : b0 + b_width]
-            rows = np.zeros((b_width, m, m), dtype=np.complex128)
-            np.multiply(
-                np.exp(1j * (bet[:, None, None] * coarse[:, None])),
-                np.exp(1j * (bet[:, None, None] * fine)),
-                out=rows[: bet.size],
-            )
-            rows = rows.reshape(b_width, m * m)[:, : k.size]
+            rows = np.zeros((b_width, k.size), dtype=np.complex128)
+            rows[: bet.size] = np.exp(1j * np.outer(-4.0 * math.pi * bet, k))
             # (row tiles, column tiles, tile, tile), back to a block of the grid.
             total = np.matmul(rows.reshape(-1, 1, tile, k.size), cols[None])
             total = total.transpose(0, 2, 1, 3).reshape(b_width, a_width)
@@ -907,22 +901,6 @@ def _resonant_grid(
                 phi_d * np.abs(total)
             )
     return out
-
-
-def _square_phases(theta: np.ndarray, m: int) -> np.ndarray:
-    """exp(i theta k^2) for k < m^2, shape (theta.size, m^2), from 3m
-    exponentials per theta: with k = k1 m + k0 (k0, k1 < m) it is
-    exp(i theta (k1 m)^2) exp(i theta k0^2) w^k1, w = exp(2 i theta m k0),
-    and the powers of w are a running product of fewer than m factors."""
-    j = np.arange(m, dtype=np.float64)
-    coarse = np.exp(1j * (theta[:, None] * (j * m) ** 2))
-    fine = np.exp(1j * (theta[:, None] * (j * j)))
-    step = np.exp(1j * (theta[:, None] * (2.0 * m * j)))
-    out = np.empty((theta.size, m, m), dtype=np.complex128)
-    for k1 in range(m):
-        np.multiply(fine, coarse[:, k1, None], out=out[:, k1])
-        fine *= step
-    return out.reshape(theta.size, m * m)
 
 
 @dataclass(frozen=True)

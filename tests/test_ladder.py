@@ -491,6 +491,14 @@ def test_resonant_amplitudes_do_not_depend_on_batching(params, n_kicks, betas, a
         assert outputs[j] == np.abs(accel_alone[0]) ** 2
 
 
+def test_resonant_amplitudes_of_no_columns_are_empty(params):
+    """Empty betas or accels give an empty array in the broadcast shape."""
+    none = resonant_return_amplitudes(5, 0.7, np.empty(0), 0.1, params)
+    assert none.shape == (0,) and none.dtype == np.complex128
+    grid = resonant_return_amplitudes(5, 0.7, np.zeros((3, 1)), np.empty(0), params)
+    assert grid.shape == (3, 0)
+
+
 def test_resonant_grid_stays_blocked(params):
     """20001 betas x 33 accels at N = 300, the size of a Gaussian
     acceleration curve's grid: the (betas x 2N) phase factor (183 MiB) is
