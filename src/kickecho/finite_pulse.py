@@ -43,12 +43,14 @@ run_finite_sequence keeps the full two-train run as the reference.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import ConvergenceError, GridResolutionError
+from .errors import ConvergenceError, GridResolutionError, TruncationError
 from .ladder import (
     EDGE_BAND,
     LadderState,
@@ -64,6 +66,8 @@ from .ladder import (
     kick_kernel,
 )
 from .params import HBAR, PhysicalParams, gamma_from_v0
+
+logger = logging.getLogger(__name__)
 
 # Adaptive-splitting contract: stop when the state changes by less than this
 # under sub-step doubling; give up past MAX_SUBSTEPS.
@@ -117,21 +121,58 @@ class FinitePulseSpec:
         return gamma_from_v0(self.v0, params)
 
 
-def auto_q_max_finite(spec: FinitePulseSpec, params: PhysicalParams) -> int:
-    """Ladder half-width for a finite-pulse sequence.
+def auto_q_max_finite(
+    spec: FinitePulseSpec, params: PhysicalParams, trains: int = 1
+) -> int:
+    """Ladder half-width for an engine that runs k = trains * n_pulses pulses.
 
-    Two upper estimates of the reachable momentum: the Raman-Nath ballistic
-    spread n_pulses*phi_d (short pulses), and the energy bound
-    sqrt(2*N*gamma) from |energy change per pulse| <= V0 (long pulses, where
-    kinetic motion during the pulse suppresses momentum transfer).  The
-    smaller estimate plus margin wins; the edge monitor still guards the
-    result at runtime.
+    The smaller of two upper estimates of the reachable momentum wins:
+
+    - the Raman-Nath ballistic spread k*phi_d plus its margin
+      (auto_q_max(k, phi_d); short pulses);
+    - the energy bound for long pulses, where kinetic motion during the
+      pulse suppresses momentum transfer: each pulse changes the energy by
+      at most V0, so k pulses reach q_E = sqrt(2*k*gamma), and the ladder
+      is ceil(q_E + 8 + 3*(2*gamma)**(1/6)).  The tail term is the cube
+      root of the single-pulse reach sqrt(2*gamma).
+
+    k is n_pulses for the folded engine (finite_return_amplitudes, the
+    default trains=1), which runs the forward train only.  The two-train
+    reference run_finite_sequence and the position-grid oracles pass
+    trains=2: by the fold identity their reversed train's states are
+    (F U-)^k c = P (F U+)^k P c, so they keep spreading for 2*n_pulses
+    pulses.  Off resonance the reversed train does not undo the forward
+    one, and short pulses carry them out to 2*n_pulses*phi_d too.
+
+    The edge and norm gates still guard the result at runtime.  When an
+    engine picks its own ladder and a gate fails on it, the engine reruns
+    once on twice this estimate (_on_ladder).  For gamma >= 1e-3 that is
+    at least the ladder of the wider margin q_E + 16 + 3*q_E**(1/3) used
+    before.
     """
-    rn = auto_q_max(spec.n_pulses, spec.phi_d)
-    gamma = spec.gamma(params)
-    q_energy = math.sqrt(2.0 * spec.n_pulses * max(gamma, 0.0))
-    en = int(math.ceil(q_energy + 16.0 + 3.0 * q_energy ** (1.0 / 3.0)))
+    k = trains * spec.n_pulses
+    rn = auto_q_max(k, spec.phi_d)
+    gamma = max(spec.gamma(params), 0.0)
+    q_energy = math.sqrt(2.0 * k * gamma)
+    en = int(math.ceil(q_energy + 8.0 + 3.0 * (2.0 * gamma) ** (1.0 / 6.0)))
     return min(rn, en)
+
+
+def _on_ladder(run, q_max: int | None, estimate) -> np.ndarray:
+    """run(q_max) on an explicit ladder, which never retries.  With q_max
+    None, run(estimate()); if a gate raises TruncationError there, run
+    once more on a ladder twice as wide and log the retry at DEBUG."""
+    if q_max is not None:
+        return run(q_max)
+    q_auto = estimate()
+    try:
+        return run(q_auto)
+    except TruncationError as exc:
+        logger.debug(
+            "estimated ladder q_max = %d too narrow (%s); retrying on q_max = %d",
+            q_auto, exc, 2 * q_auto,
+        )
+        return run(2 * q_auto)
 
 
 def pulse_bands(
@@ -263,10 +304,24 @@ def run_finite_sequence(
     """Full finite-pulse sequence from the q = 0 rung; returns (state, I).
 
     n_pulses periods of (pulse sign +1, free flight period - tau_p), then
-    the same with sign -1.  I = |c_{q=0}|^2.
+    the same with sign -1.  I = |c_{q=0}|^2.  With q_max None the ladder
+    is auto_q_max_finite(spec, params, trains=2), retried once on twice
+    that width if a gate fails.
     """
-    if q_max is None:
-        q_max = auto_q_max_finite(spec, params)
+    return _on_ladder(
+        partial(_two_train_run, spec, beta, params, method=method),
+        q_max,
+        partial(auto_q_max_finite, spec, params, trains=2),
+    )
+
+
+def _two_train_run(
+    spec: FinitePulseSpec,
+    beta: float,
+    params: PhysicalParams,
+    q_max: int,
+    method: str,
+) -> tuple[LadderState, float]:
     state = ground_state(beta, q_max)
     qs = state.q_values
     free_phase = np.exp(
@@ -313,7 +368,9 @@ def finite_return_amplitudes(
     The edge gate (every period, on per-rung populations) and the norm
     gate act on the forward state only.  The folded c_0 is a function of
     that state alone, so they bound its truncation error as they bound the
-    error of the full two-train run.
+    error of the full two-train run.  With q_max None each beta group runs
+    on auto_q_max_finite(spec, params), and once more on twice that width
+    if a gate fails there; an explicit q_max never retries.
     """
     periods_b, betas_b = np.broadcast_arrays(
         np.atleast_1d(np.asarray(periods, dtype=float)),
@@ -337,8 +394,11 @@ def finite_return_amplitudes(
     for beta in np.unique(bet):
         cols = np.nonzero(bet == beta)[0]
         spec = FinitePulseSpec(n_pulses, v0, tau_p, float(np.min(t[cols])))
-        qm = auto_q_max_finite(spec, params) if q_max is None else q_max
-        out[cols] = _folded_echo(spec, float(beta), t[cols], qm, params)
+        out[cols] = _on_ladder(
+            partial(_folded_echo, spec, float(beta), t[cols], params=params),
+            q_max,
+            partial(auto_q_max_finite, spec, params),
+        )
     return out.reshape(shape)
 
 
@@ -528,7 +588,7 @@ def splitstep_fiber(
     Returns (q_values, final amplitudes); the output I is the squared
     magnitude at q = 0.
     """
-    q_bound = auto_q_max_finite(spec, params)
+    q_bound = auto_q_max_finite(spec, params, trains=2)
     if n_x is None:
         n_x = _pow2_at_least(4 * (q_bound + 8))
     if n_x < 2 * q_bound:
@@ -645,8 +705,8 @@ def finite_wavepacket_grid_output(
     |<psi_0|psi_final>|^2); cross-check of finite_gaussian_output at
     reduced sigma."""
     psi, cosg, k_rate = _wavepacket_grid(
-        wavepacket, params, auto_q_max_finite(spec, params), n_periods,
-        points_per_period,
+        wavepacket, params, auto_q_max_finite(spec, params, trains=2),
+        n_periods, points_per_period,
     )
     psi0 = psi.copy()
     free = np.exp(-1j * k_rate * (spec.period - spec.tau_p))

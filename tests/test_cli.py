@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kickecho import ladder
+from kickecho import cli, ladder
 from kickecho.analytic import fwhm_accel, fwhm_eps, fwhm_p0
 from kickecho.cli import _format_cell, _render_csv, main, sidecar_path
 from kickecho.config import resolve
@@ -184,6 +184,22 @@ def test_unknown_and_malformed_overrides(tmp_path, capsys):
     assert run_cli("echo", "--set", "garbage", *base) == 2
     assert run_cli("scan-eps", "--range", "1,2", *base) == 2
     assert not os.path.exists(out)
+
+
+def test_consecutive_runs_share_the_parser_not_its_overrides(tmp_path):
+    """main builds its parser once per process; the --set list of one call
+    (action="append", default=[]) never leaks into the next call."""
+    first, second = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert run_cli(
+        "echo", "--out", first, "--set", "n_kicks=4", "--set", "phi_d=0.5",
+        "--set", "eps_ns=1",
+    ) == 0
+    assert run_cli("echo", "--out", second, "--set", "n_kicks=6", "--set", "phi_d=0.5") == 0
+    config = json.load(open(sidecar_path(second), encoding="utf-8"))["config"]
+    assert config["n_kicks"] == 6
+    assert config["eps_ns"] == 0.0
+    assert cli._parser() is cli._parser()
+    assert cli._parser().parse_args(["echo", "--out", first]).overrides == []
 
 
 def test_duplicate_config_key_rejected(tmp_path):

@@ -1,11 +1,12 @@
 """Finite-pulse propagation: limits, cross-validated propagators, and the
 independent position-grid oracle."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kickecho import finite_pulse
@@ -24,6 +25,7 @@ from kickecho.finite_pulse import (
     splitstep_output,
 )
 from kickecho.ladder import (
+    EDGE_BAND,
     SequenceSpec,
     WavepacketSpec,
     _check_edges,
@@ -170,6 +172,7 @@ def test_batched_outputs_match_scalar_runs(params):
 
 
 @settings(max_examples=25, deadline=None)
+@example(gamma=12.0, n_pulses=21, tau_us=1.5, offsets=[0.0], beta=0.0)
 @given(
     gamma=st.floats(min_value=0.5, max_value=60.0),
     n_pulses=st.integers(min_value=1, max_value=24),
@@ -184,7 +187,8 @@ def test_folded_echo_matches_two_train_run(
 ):
     """Time reversal (any beta) and parity (beta = 0) fold the echo onto its
     forward train; the folded return amplitudes equal those of the full
-    two-train run, phases included."""
+    two-train run, phases included.  The explicit example is where a
+    two-train ladder sized for n_pulses pulses fills its edge band."""
     v0 = v0_from_gamma(gamma, params)
     periods = params.talbot_time * (1.0 + np.array(offsets))
     folded = finite_return_amplitudes(
@@ -199,13 +203,93 @@ def test_folded_echo_matches_two_train_run(
 @pytest.mark.parametrize("beta", [0.0, 0.2])
 def test_folded_echo_rejects_a_narrow_ladder(params, beta):
     spec = FinitePulseSpec(16, v0_from_gamma(20.0, params), 1e-6, params.talbot_time)
-    narrow = 12  # auto_q_max_finite picks 51; at 12 both fibers fill the edge band
+    narrow = 12  # auto_q_max_finite picks 39; at 12 both fibers fill the edge band
     with pytest.raises(TruncationError):
         run_finite_sequence(spec, beta, params, q_max=narrow)
     with pytest.raises(TruncationError):
         finite_return_amplitudes(
             spec.n_pulses, spec.v0, spec.tau_p, spec.period, beta, params, q_max=narrow
         )
+
+
+def test_auto_ladder_retries_once_on_twice_the_estimate(params, monkeypatch, caplog):
+    """An estimate too narrow for the run costs one rerun on twice its
+    width, logged at DEBUG with both widths; the result equals a run on
+    the wider ladder that the energy bound used to give (23 here)."""
+    n_pulses, v0, tau = 6, v0_from_gamma(3.0, params), 1.5e-6
+    periods = params.talbot_time * (1.0 + np.array([[-0.01], [0.0], [0.02]]))
+    betas = np.array([[0.0, 0.2]])
+    want = finite_return_amplitudes(n_pulses, v0, tau, periods, betas, params, q_max=23)
+    with pytest.raises(TruncationError):
+        finite_return_amplitudes(n_pulses, v0, tau, periods, betas, params, q_max=8)
+    monkeypatch.setattr(finite_pulse, "auto_q_max_finite", lambda *args, **kw: 8)
+    caplog.set_level(logging.DEBUG, logger="kickecho.finite_pulse")
+    got = finite_return_amplitudes(n_pulses, v0, tau, periods, betas, params)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    state, _ = run_finite_sequence(
+        FinitePulseSpec(n_pulses, v0, tau, params.talbot_time), 0.2, params
+    )
+    assert state.q_max == 16
+    assert abs(state.amplitude(0) - want[1, 1]) <= 1e-12
+    assert len(caplog.records) == 3  # one per beta group, one for the two-train run
+    for record in caplog.records:
+        assert record.levelno == logging.DEBUG
+        assert "q_max = 8 " in record.getMessage()
+        assert record.getMessage().endswith("retrying on q_max = 16")
+
+
+def _edge_spy(mp, seen):
+    """Record every edge-band population that either engine gates."""
+    gate_population = finite_pulse._check_edge_population
+    gate_edges = finite_pulse._check_edges
+
+    def population(worst, q_max):
+        seen.append(worst)
+        gate_population(worst, q_max)
+
+    def edges(amps, q_max):
+        seen.append(float(max(np.abs(amps[:EDGE_BAND]).max(),
+                              np.abs(amps[-EDGE_BAND:]).max())) ** 2)
+        gate_edges(amps, q_max)
+
+    mp.setattr(finite_pulse, "_check_edge_population", population)
+    mp.setattr(finite_pulse, "_check_edges", edges)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    log_gamma=st.floats(min_value=math.log(0.5), max_value=math.log(1000.0)),
+    n_pulses=st.integers(min_value=1, max_value=160),
+    log_tau=st.floats(min_value=math.log(0.03), max_value=math.log(10.0)),
+    multiple=st.sampled_from([1, 2]),
+    widths=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=3),
+    beta=st.one_of(st.just(0.0), st.floats(min_value=-0.5, max_value=0.5)),
+)
+def test_auto_ladders_keep_a_margin_below_the_edge_gate(
+    params, log_gamma, n_pulses, log_tau, multiple, widths, beta
+):
+    """Across the config caps (gamma in 0.5-1000, N <= 160, pulse area
+    <= 100, tau_p within 0.03-10 times 22 us / sqrt(gamma N) and at most
+    T_T/2), within two predicted widths of T_T and 2 T_T, both engines'
+    automatic ladders keep the edge band at or below 1e-15, three decades
+    under EDGE_TOL: the estimates never lean on the retry."""
+    gamma = math.exp(log_gamma)
+    area_cap = 100.0 / (gamma * params.ladder_phase_rate)
+    tau = min(math.exp(log_tau) * 22e-6 / math.sqrt(gamma * n_pulses),
+              0.5 * params.talbot_time, area_cap)
+    v0 = v0_from_gamma(gamma, params)
+    spec = FinitePulseSpec(n_pulses, v0, tau, multiple * params.talbot_time)
+    # At most T_T/4 per width, so that every period stays above T_T/2 >= tau.
+    width = min(fwhm_eps(n_pulses, spec.phi_d, params), 0.25 * params.talbot_time)
+    periods = spec.period + width * np.array(widths)
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        _edge_spy(mp, seen)
+        finite_return_amplitudes(n_pulses, v0, tau, periods, beta, params)
+        run_finite_sequence(
+            FinitePulseSpec(n_pulses, v0, tau, float(periods[0])), beta, params
+        )
+    assert max(seen) <= 1e-15
 
 
 def test_non_finite_inputs_fail_closed(params):

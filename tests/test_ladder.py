@@ -484,11 +484,13 @@ def test_resonant_amplitudes_do_not_depend_on_batching(params, n_kicks, betas, a
     accel_alone = resonant_return_amplitudes(n_kicks, phi_d, 0.0, acc[j], params)
     p0_spec = SequenceSpec(n_kicks, phi_d, params.talbot_time, acc[j])
     accel_spec = SequenceSpec(n_kicks, phi_d, params.talbot_time)
+    # Square as arrays, as scans._outputs does: a numpy scalar's ** 2 goes
+    # through pow(), which was 1 ulp off the exact square at 0.2469119595947736.
     for workers in (2, 3):
         p0 = scans._evaluate(p0_spec, params, "p0", bet * recoil, workers)
-        assert p0[i] == np.abs(p0_alone[0]) ** 2
+        assert p0[i] == (np.abs(p0_alone) ** 2)[0]
         outputs = scans._evaluate(accel_spec, params, "accel", acc, workers)
-        assert outputs[j] == np.abs(accel_alone[0]) ** 2
+        assert outputs[j] == (np.abs(accel_alone) ** 2)[0]
 
 
 def test_resonant_amplitudes_of_no_columns_are_empty(params):
