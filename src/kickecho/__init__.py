@@ -85,6 +85,7 @@ from .ladder import (
     kick_kernel,
     momentum_history,
     resonant_return_amplitudes,
+    return_amplitudes,
     run_sequence,
 )
 from .params import (
@@ -162,6 +163,7 @@ __all__ = [
     "kick_kernel",
     "momentum_history",
     "resonant_return_amplitudes",
+    "return_amplitudes",
     "run_sequence",
     "HBAR",
     "KickStrength",

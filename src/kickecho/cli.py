@@ -40,10 +40,9 @@ from .finite_pulse import FinitePulseSpec
 from .ladder import (
     SequenceSpec,
     WavepacketSpec,
-    batched_return_amplitudes,
     gaussian_output,
     momentum_history,
-    resonant_return_amplitudes,
+    return_amplitudes,
 )
 from .params import HBAR, PhysicalParams, v0_from_gamma
 from .scans import (
@@ -280,13 +279,8 @@ def _run_echo(config: RunConfig, fh: BinaryIO):
         output = gaussian_output(
             spec, WavepacketSpec(sigma_x=sigma_um * 1e-6), params
         )
-    elif spec.period == params.talbot_time:
-        amp = resonant_return_amplitudes(
-            spec.n_kicks, spec.phi_d, config["beta"], spec.accel, params
-        )[0]
-        output = float(abs(amp) ** 2)
     else:
-        amp = batched_return_amplitudes(
+        amp = return_amplitudes(
             spec.n_kicks, spec.phi_d, spec.period, config["beta"], spec.accel, params
         )[0]
         output = float(abs(amp) ** 2)

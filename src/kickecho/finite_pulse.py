@@ -61,6 +61,9 @@ from .ladder import (
     _check_q_max,
     _convolve_kick,
     _fiber_average,
+    _flat_columns,
+    _fold_sum,
+    _free_phase,
     auto_q_max,
     ground_state,
     kick_kernel,
@@ -260,8 +263,7 @@ def apply_finite_pulse(
     method="adaptive": symmetric operator splitting, sub-step count doubled
     until the output changes by less than SPLIT_TOL in norm-distance
     (ConvergenceError past MAX_SUBSTEPS).  method="eig": exact tridiagonal
-    eigendecomposition; the two agree to oracle accuracy and "eig" is the
-    faster choice inside scans.
+    eigendecomposition; the two agree to oracle accuracy.
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
@@ -299,17 +301,17 @@ def run_finite_sequence(
     beta: float,
     params: PhysicalParams,
     q_max: int | None = None,
-    method: str = "eig",
 ) -> tuple[LadderState, float]:
     """Full finite-pulse sequence from the q = 0 rung; returns (state, I).
 
     n_pulses periods of (pulse sign +1, free flight period - tau_p), then
-    the same with sign -1.  I = |c_{q=0}|^2.  With q_max None the ladder
-    is auto_q_max_finite(spec, params, trains=2), retried once on twice
-    that width if a gate fails.
+    the same with sign -1, each pulse the dense pulse_propagator.
+    I = |c_{q=0}|^2.  With q_max None the ladder is
+    auto_q_max_finite(spec, params, trains=2), retried once on twice that
+    width if a gate fails.
     """
     return _on_ladder(
-        partial(_two_train_run, spec, beta, params, method=method),
+        partial(_two_train_run, spec, beta, params),
         q_max,
         partial(auto_q_max_finite, spec, params, trains=2),
     )
@@ -320,7 +322,6 @@ def _two_train_run(
     beta: float,
     params: PhysicalParams,
     q_max: int,
-    method: str,
 ) -> tuple[LadderState, float]:
     state = ground_state(beta, q_max)
     qs = state.q_values
@@ -328,20 +329,17 @@ def _two_train_run(
         -2j * math.pi * ((spec.period - spec.tau_p) / params.talbot_time)
         * (qs + beta) ** 2
     )
+    amps = state.amps
     for sign in (+1, -1):
-        if method == "eig" and spec.tau_p > 0.0:
-            u = pulse_propagator(spec, beta, q_max, sign, params)
-            amps = state.amps
-            for _ in range(spec.n_pulses):
+        # A pulse of zero duration is the identity.
+        u = pulse_propagator(spec, beta, q_max, sign, params) if spec.tau_p > 0.0 else None
+        for _ in range(spec.n_pulses):
+            if u is not None:
                 amps = u @ amps
-                _check_edges(amps, q_max)
-                amps = amps * free_phase
-            state = LadderState(beta, q_max, amps)
-        else:
-            for _ in range(spec.n_pulses):
-                state = apply_finite_pulse(state, spec, sign, params, method)
-                state = LadderState(beta, q_max, state.amps * free_phase)
-    _check_norms(state.amps, "over the finite-pulse sequence")
+            _check_edges(amps, q_max)
+            amps = amps * free_phase
+    _check_norms(amps, "over the finite-pulse sequence")
+    state = LadderState(beta, q_max, amps)
     return state, state.population(0)
 
 
@@ -372,22 +370,11 @@ def finite_return_amplitudes(
     on auto_q_max_finite(spec, params), and once more on twice that width
     if a gate fails there; an explicit q_max never retries.
     """
-    periods_b, betas_b = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(periods, dtype=float)),
-        np.atleast_1d(np.asarray(betas, dtype=float)),
-    )
-    shape = periods_b.shape
-    t = periods_b.ravel()
-    bet = betas_b.ravel()
-    if not (
-        np.all(np.isfinite(t))
-        and np.all(np.isfinite(bet))
-        and math.isfinite(v0)
-        and math.isfinite(tau_p)
-    ):
-        raise ValueError("periods, betas, v0 and tau_p must be finite")
-    if np.any(t <= 0.0) or tau_p < 0.0 or np.any(t < tau_p):
-        raise ValueError("periods must be positive and no smaller than tau_p")
+    shape, (t, bet) = _flat_columns("periods and betas", periods, betas)
+    if not (math.isfinite(v0) and math.isfinite(tau_p)):
+        raise ValueError("v0 and tau_p must be finite")
+    if tau_p < 0.0 or np.any(t < tau_p):
+        raise ValueError("tau_p must be >= 0 and periods no smaller than tau_p")
     if q_max is not None:
         _check_q_max(q_max)
     out = np.empty(t.size, dtype=np.complex128)
@@ -426,15 +413,8 @@ def _folded_echo(
         slice(None, EDGE_BAND), slice(-EDGE_BAND, None)
     )
     weight = 0.5 if even else 1.0
-    free = np.exp(
-        -2j * math.pi * ((periods - spec.tau_p) / params.talbot_time)[None, :]
-        * ((qs + beta) ** 2)[:, None]
-    )
-    u = (
-        pulse_propagator(spec, beta, q_max, +1, params, even)
-        if spec.tau_p > 0.0
-        else None
-    )
+    free = _free_phase(qs, periods - spec.tau_p, np.array([beta]), params)
+    u = pulse_propagator(spec, beta, q_max, +1, params, even) if spec.tau_p > 0.0 else None
     amps = np.zeros((qs.size, periods.size), dtype=np.complex128)
     amps[i0, :] = 1.0
     spare = np.empty_like(amps)
@@ -449,8 +429,7 @@ def _folded_echo(
         _check_edge_population(weight * (top * top), q_max)
         amps *= free
     _check_norms(amps, "in the batched finite-pulse run")
-    parity = np.where(qs % 2 == 0, 1.0, -1.0)[:, None]
-    return free[i0] * np.sum(parity * amps**2 / free, axis=0)
+    return _fold_sum(amps, free, np.where(qs % 2 == 0, 1.0, -1.0), i0)
 
 
 def finite_gaussian_output(

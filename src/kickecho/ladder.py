@@ -36,22 +36,24 @@ even in q, c'_-q = (-1)^q c'_q, so folded_return_amplitudes runs those
 columns on the even sector q = 0 .. q_max.  Mirrored rows c'_-D .. c'_-1
 ahead of c'_0, D the kernel half-width (at most q_max), keep the kick a
 plain banded product; there every row q >= 1 counts twice, in the fold
-and in the norm |c_0|^2 + 2 sum_{q>=1} |c_q|^2.  scan-eps (beta = 0)
-runs on the even sector, and a p0 scan away from the resonance period
-on the folded full ladder.  Accelerated columns away from the resonance
-period, the detuned plane-wave echo and gaussian_output run both
-trains, and momentum_history records every kick of both.  Plane-wave
-columns at exactly the resonance period need no ladder (below).  The
-folded run gates only the forward train, so it can pass where the
-reversed train fails the edge gate.  That happens to the N = 40,
-phi_d = 0.5, sigma_x = 100 um Gaussian echo, which exits 3 on two
-trains; its folded 65-node rule returns I = 0.0751.  The benchmark keeps
-that echo as an operation that must exit 3, so the Gaussian path stays
-on two trains until the fiber quadrature and that operation change
-together.  It uses parity across fibers instead: at zero acceleration
-c_0(beta) = c_0(-beta) on the truncated ladder, so _fiber_average runs
-only the Gauss-Hermite nodes with beta >= 0 and mirrors them, for this
-echo and for finite_pulse.finite_gaussian_output alike.
+and in the norm |c_0|^2 + 2 sum_{q>=1} |c_q|^2.
+
+Engine choice.  return_amplitudes picks the engine for every plane-wave
+column of the scans and the echo: the closed form (below) when every
+period is exactly T_T, else the fold when every acceleration is zero,
+else both trains.  momentum_history records every kick of both trains.
+The fold gates only the forward train, so it can pass where the
+reversed train fails the edge gate, as the detuned echo at N = 100,
+phi_d = 0.5, eps = 2 ns did on two trains (1.019e-12).  So does the
+N = 40, phi_d = 0.5, sigma_x = 100 um Gaussian echo, which exits 3 on
+two trains; its folded 65-node rule returns I = 0.0751.  The benchmark
+keeps that echo as an operation that must exit 3, so gaussian_output
+stays on two trains until the fiber quadrature and that operation
+change together.  It uses parity across fibers instead: at zero
+acceleration c_0(beta) = c_0(-beta) on the truncated ladder, so
+_fiber_average runs only the Gauss-Hermite nodes with beta >= 0 and
+mirrors them, for this echo and for finite_pulse.finite_gaussian_output
+alike.
 
 Resonant fibers.  At the period T = T_T the flight of period n is
 linear in the rung, F_n(q) = F_n(0) r_n^q with |r_n| = 1, a translation
@@ -63,17 +65,15 @@ one of strength phi_d |S|, S = sum_n s_n r_1 ... r_{n-1}, so
 exact on the infinite ladder for any beta and acceleration (Fishman,
 Guarneri and Rebuzzini, Phys. Rev. Lett. 89, 084101 (2002)).
 resonant_return_amplitudes evaluates it for every plane-wave column at
-exactly T_T: p0 and accel scans at any acceleration (scans._outputs, so
-CLI scan-p0 and plane-wave scan-accel), the plane-wave echo with
-eps_ns = 0 and period_multiple = 1 (cli._run_echo), and the fibers of
-the Gaussian acceleration curves (scans.gaussian_accel_curve).  The
-partial products are separable, r_1 ... r_k = exp(-4 pi i beta k)
-exp(i theta_a k^2) with theta_a = kappa a T_T^2 / 2, so S over a grid of
-betas x accels is one matrix product of a (betas x 2N) and a (2N x
-accels) phase factor (_resonant_grid), with no running product to gather
-rounding error.  On the 161 samples of the default p0 window at
-N = 150, phi_d = 0.6, its outputs are off a 40-digit evaluation by at
-most 8.9e-16, the folded ladder's by 2.4e-10.  Two resonant paths keep
+exactly T_T and the fibers of the Gaussian acceleration curves
+(scans.gaussian_accel_curve).  The partial products are separable,
+r_1 ... r_k = exp(-4 pi i beta k) exp(i theta_a k^2) with
+theta_a = kappa a T_T^2 / 2, so S over a grid of betas x accels is one
+matrix product of a (betas x 2N) and a (2N x accels) phase factor
+(_resonant_grid), with no running product to gather rounding error.
+On the 161 samples of the default p0 window at N = 150, phi_d = 0.6,
+its outputs are off a 40-digit evaluation by at most 8.9e-16, the
+folded ladder's by 2.4e-10.  Two resonant paths keep
 the ladder.  momentum_history records every rung after every kick; the
 same populations as a table of J_q(phi_d |S_k|)^2 took 0.42 s against
 the ladder's 0.045 s at N = 100, phi_d = 2.04.  gaussian_output stays on
@@ -292,28 +292,18 @@ def _kick_slab(phi_d: float, sign: int = +1) -> np.ndarray:
     return slab
 
 
-def _convolve_kick(
-    amps: np.ndarray,
-    kernel: np.ndarray,
-    out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
-) -> np.ndarray:
+def _convolve_kick(amps: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Apply a kick kernel along axis 0 of a (sites,) or (sites, m) array.
 
     Amplitude pushed past the ladder ends is lost; the edge monitor is
-    responsible for rejecting runs where that loss matters.  out receives
-    the result and tmp is scratch; both must have the shape of amps and
-    are allocated when not given, so no array is allocated per kernel
-    order.
+    responsible for rejecting runs where that loss matters.  Each kernel
+    order is multiplied into one scratch array, so no array is allocated
+    per order.
     """
     half = (len(kernel) - 1) // 2
     n = amps.shape[0]
-    if out is None:
-        out = np.zeros_like(amps)
-    else:
-        out.fill(0.0)
-    if tmp is None:
-        tmp = np.empty_like(amps)
+    out = np.zeros_like(amps)
+    tmp = np.empty_like(amps)
     for d in range(-half, half + 1):
         lo, hi = max(0, d), min(n, n + d)
         if lo >= hi:  # kernel order shifts everything off this ladder
@@ -795,15 +785,20 @@ def _fold_block(
     if even:
         weight[1:] = 2.0
     _check_norms(amps[first:] * np.sqrt(weight)[:, None], "over the forward train")
-    terms = amps[first:] ** 2
-    terms /= free[first:]
+    return _fold_sum(amps[first:], free[first:], weight, i0 - first)
+
+
+def _fold_sum(amps: np.ndarray, free: np.ndarray, weight: np.ndarray, i0: int) -> np.ndarray:
+    """The fold of both fold engines, free[i0] * sum_q w_q c_q^2 / F_q over
+    the rows of the forward state amps, F = free and i0 the row of q = 0.
+    The running sum of np.add.accumulate adds the rows one after another
+    for any number of columns; np.sum switches to pairwise summation on a
+    one-column block, which would make the bits depend on batching."""
+    terms = amps**2
+    terms /= free
     terms *= weight[:, None]
-    # A fixed-order sum: np.sum switches to pairwise summation on a
-    # one-column block, which would make the bits depend on the batching.
-    total = terms[0].copy()
-    for row in terms[1:]:
-        total += row
-    return free[i0] * total
+    np.add.accumulate(terms, axis=0, out=terms)
+    return free[i0] * terms[-1]
 
 
 def _mirror_even(amps: np.ndarray, i0: int) -> None:
@@ -901,6 +896,29 @@ def _resonant_grid(
                 phi_d * np.abs(total)
             )
     return out
+
+
+def return_amplitudes(
+    n_kicks: int, phi_d: float, periods, betas, accels, params: PhysicalParams
+) -> np.ndarray:
+    """Plane-wave echo return amplitudes c_{q=0} over broadcast (periods,
+    betas, accels), from the cheapest exact engine: the closed form
+    resonant_return_amplitudes when every period is exactly T_T, else
+    folded_return_amplitudes when every acceleration is zero, else
+    batched_return_amplitudes.  All drop the a^2 action phase, and each
+    engine's bits do not depend on batching, so a column has the bits of
+    a direct call of the engine chosen.  Invalid inputs raise ValueError.
+    """
+    shape, (t, bet, acc) = _flat_columns(
+        "periods, betas and accels", periods, betas, accels
+    )
+    if np.all(t == params.talbot_time):
+        amps = resonant_return_amplitudes(n_kicks, phi_d, bet, acc, params)
+    elif np.all(acc == 0.0):
+        amps = folded_return_amplitudes(n_kicks, phi_d, t, bet, params)
+    else:
+        amps = batched_return_amplitudes(n_kicks, phi_d, t, bet, acc, params)
+    return amps.reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ the timing-scan width, and fit power laws to the resulting data.
 All searches and fits use relative tolerances; the physical scales of
 the control axes span thirty orders of magnitude and absolute
 tolerances are meaningless across them.  Every routine here is
-deterministic: identical inputs (including the worker count) produce
-bit-identical curves.
+deterministic: identical inputs produce bit-identical curves, whatever
+the worker count.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from .finite_pulse import FinitePulseSpec, finite_return_amplitudes
 from .ladder import (
     SequenceSpec,
     WavepacketSpec,
-    batched_return_amplitudes,
-    folded_return_amplitudes,
     resonant_return_amplitudes,
+    return_amplitudes,
 )
 from .params import PhysicalParams, v0_from_gamma
 
@@ -235,15 +234,9 @@ def _outputs(
     axis: str,
     values: np.ndarray,
 ) -> np.ndarray:
-    """Outputs |c_{q=0}|^2 along one control axis, from the engine that spec
-    selects.
-
-    Delta-kick scans of p0 or accel at exactly the resonance period take
-    the closed form of resonant_return_amplitudes, whatever spec.accel;
-    no ladder runs.  The other zero-acceleration delta-kick scans (eps at
-    any period, p0 off resonance) fold the echo onto its forward train,
-    and the rest run both trains.
-    """
+    """Outputs |c_{q=0}|^2 along one control axis: a FinitePulseSpec runs
+    the finite-pulse engine, and a SequenceSpec the delta-kick engine that
+    ladder.return_amplitudes chooses for the columns."""
     periods, betas, accels = spec.period, 0.0, spec.accel
     if axis == "eps":
         periods = spec.period + values
@@ -253,14 +246,8 @@ def _outputs(
         accels = values
     else:
         raise ValueError(f"unknown control axis {axis!r}")
-    if isinstance(spec, SequenceSpec) and axis != "eps" and spec.period == params.talbot_time:
-        amps = resonant_return_amplitudes(spec.n_kicks, spec.phi_d, betas, accels, params)
-    elif isinstance(spec, SequenceSpec) and axis != "accel" and spec.accel == 0.0:
-        amps = folded_return_amplitudes(spec.n_kicks, spec.phi_d, periods, betas, params)
-    elif isinstance(spec, SequenceSpec):
-        amps = batched_return_amplitudes(
-            spec.n_kicks, spec.phi_d, periods, betas, accels, params
-        )
+    if isinstance(spec, SequenceSpec):
+        amps = return_amplitudes(spec.n_kicks, spec.phi_d, periods, betas, accels, params)
     elif axis == "accel":
         raise ValueError("finite-pulse sequences support zero acceleration only")
     else:
@@ -297,7 +284,10 @@ def _evaluate(
     workers: int,
 ) -> np.ndarray:
     run = functools.partial(_outputs, spec, params, axis)
-    if workers <= 1 or values.size < 2 * workers:
+    # A finite-pulse scan runs as one chunk: its engine multiplies each
+    # chunk by one BLAS product, which rounds by the chunk width, and two
+    # chunks ran slower than one.
+    if isinstance(spec, FinitePulseSpec) or workers <= 1 or values.size < 2 * workers:
         return run(values)
     # The chunks follow the worker count, so the curve does not depend on
     # the core count; threads beyond it would only contend.
@@ -333,10 +323,9 @@ def scan(
     n_points : int
         Samples across the window; at least 32.
     workers : int
-        Contiguous chunks, evaluated on at most os.cpu_count() threads.
-        The curve for a given worker count is bit-identical between runs,
-        whatever the core count; delta-kick curves are bit-identical for
-        every worker count.
+        Contiguous chunks of a delta-kick scan, evaluated on at most
+        os.cpu_count() threads; a finite-pulse scan runs as one chunk.
+        The curve is bit-identical for every worker count and core count.
 
     Returns
     -------

@@ -19,6 +19,7 @@ from kickecho.ladder import (
     SequenceSpec,
     WavepacketSpec,
     batched_return_amplitudes,
+    folded_return_amplitudes,
     momentum_history,
     resonant_return_amplitudes,
 )
@@ -56,13 +57,17 @@ def test_echo_smoke_writes_csv_and_sidecar(tmp_path, capsys):
 
 def test_plane_wave_echo_engines(tmp_path):
     """A plane-wave echo at the resonance period takes the closed form,
-    for any beta and acceleration; a detuned one runs both trains.  The
-    CSV holds exactly the library's |c_0|^2."""
+    for any beta and acceleration; a detuned one folds at zero
+    acceleration, on the even sector at beta = 0, and runs both trains
+    under acceleration.  The CSV holds exactly the library's |c_0|^2."""
     params = resolve("echo", {"n_kicks": 1, "phi_d": 1.0}).physical_params()
     t = params.talbot_time
     cases = [
         (("beta=0.13", "accel=0.02"),
          resonant_return_amplitudes(7, 0.6, 0.13, 0.02, params)),
+        (("beta=0.13", "eps_ns=2"),
+         folded_return_amplitudes(7, 0.6, t + 2e-9, 0.13, params)),
+        (("eps_ns=2",), folded_return_amplitudes(7, 0.6, t + 2e-9, 0.0, params)),
         (("beta=0.13", "accel=0.02", "eps_ns=2"),
          batched_return_amplitudes(7, 0.6, t + 2e-9, 0.13, 0.02, params)),
     ]
@@ -72,6 +77,21 @@ def test_plane_wave_echo_engines(tmp_path):
         assert run_cli("echo", *argv, "--out", out) == 0
         side = json.load(open(sidecar_path(out), encoding="utf-8"))
         assert side["metrics"]["I"] == float(abs(amps[0]) ** 2)
+
+
+def test_detuned_echo_folds_where_both_trains_failed_the_edge_gate(tmp_path):
+    """N = 100, phi_d = 0.5, eps = 2 ns: both trains on auto_q_max(100,
+    0.5) = 85 put 1.019e-12 into the edge band, so the echo exited 3.  The
+    fold gates the forward train only and passes; its I agrees with
+    run_sequence on a ladder wider than auto_q_max(200, 0.5) to 1e-12."""
+    out = str(tmp_path / "echo.csv")
+    argv = ["--set", "n_kicks=100", "--set", "phi_d=0.5", "--set", "eps_ns=2"]
+    assert run_cli("echo", *argv, "--out", out) == 0
+    got = json.load(open(sidecar_path(out), encoding="utf-8"))["metrics"]["I"]
+    params = resolve("echo", {"n_kicks": 1, "phi_d": 1.0}).physical_params()
+    seq = SequenceSpec(100, 0.5, params.talbot_time + 2e-9)
+    _, want = ladder.run_sequence(seq, 0.0, params, q_max=ladder.auto_q_max(200, 0.5) + 20)
+    assert abs(got - want) <= 1e-12
 
 
 def test_sidecar_round_trip_reproduces_bytes(tmp_path):
@@ -338,6 +358,27 @@ def test_finite_scan_smoke(tmp_path):
     assert side["metrics"]["fwhm_s"] > 0.0
     assert side["metrics"]["delta_eps_s"] != 0.0
     assert side["derived"]["gamma"] == 10.0
+
+
+def test_finite_scan_does_not_depend_on_parallel(tmp_path):
+    """A finite-pulse scan runs as one chunk whatever --parallel says: its
+    BLAS product rounds by batch width, and at N = 32, gamma = 10,
+    tau_p = 1.2 us two chunks moved delta_eps_s in its 12th digit.  The
+    CSVs are byte-equal at W = 1, 2 and 3, and the sidecars differ only in
+    the recorded worker count."""
+    argv = ["finite-scan", "--set", "n_kicks=32", "--set", "gamma=10", "--set", "tau_p_us=1.2"]
+    csvs, sides = [], []
+    for workers in (1, 2, 3):
+        out = str(tmp_path / f"fin{workers}.csv")
+        assert run_cli(*argv, "--parallel", str(workers), "--out", out) == 0
+        csvs.append(open(out, "rb").read())
+        side = json.load(open(sidecar_path(out), encoding="utf-8"))
+        assert side["config"].pop("workers") == workers
+        sides.append(side)
+    assert csvs[0] == csvs[1] == csvs[2]
+    assert sides[0] == sides[1] == sides[2]
+    columns = [_read_columns(str(tmp_path / f"fin{w}.csv"))[2] for w in (1, 2, 3)]
+    assert np.array_equal(columns[0], columns[1]) and np.array_equal(columns[0], columns[2])
 
 
 def test_tau_min_sweep_smoke(tmp_path):

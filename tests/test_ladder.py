@@ -501,6 +501,80 @@ def test_resonant_amplitudes_of_no_columns_are_empty(params):
     assert grid.shape == (3, 0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=80),
+    columns=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_fold_sum_adds_the_rows_in_order(rows, columns, seed):
+    """The fold sum of both fold engines has the bits of a plain loop over
+    the rows, for any number of columns, one included."""
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal((rows, columns)) + 1j * rng.standard_normal((rows, columns))
+    free = np.exp(1j * rng.uniform(-math.pi, math.pi, (rows, columns)))
+    weight = rng.choice([-1.0, 1.0, 2.0], rows)
+    i0 = int(rng.integers(rows))
+    total = np.zeros(columns, dtype=np.complex128)
+    for q in range(rows):
+        total += amps[q] ** 2 / free[q] * weight[q]
+    assert np.array_equal(ladder._fold_sum(amps, free, weight, i0), free[i0] * total)
+
+
+_ENGINES = {
+    "resonant": "resonant_return_amplitudes",
+    "folded": "folded_return_amplitudes",
+    "batched": "batched_return_amplitudes",
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    axis=st.sampled_from(["eps", "p0", "accel"]),
+    detuned=st.booleans(),
+    accel=st.sampled_from([0.0, 0.02]),
+    n_kicks=st.integers(min_value=1, max_value=20),
+    n_points=st.integers(min_value=2, max_value=9),
+    lo=st.floats(min_value=-1.0, max_value=0.5),
+    width=st.floats(min_value=0.1, max_value=1.0),
+)
+def test_return_amplitudes_equal_the_engine_they_choose(
+    params, axis, detuned, accel, n_kicks, n_points, lo, width
+):
+    """On the columns of a scan window, return_amplitudes calls one engine
+    and returns its amplitudes bit for bit: the closed form for p0 and
+    accel scans at T_T, else the fold at zero acceleration (eps scans, and
+    p0 scans off T_T), else both trains."""
+    phi_d = 0.5
+    period = params.talbot_time + (3e-9 if detuned else 0.0)
+    values = np.linspace(lo, lo + width, n_points)
+    periods, betas, accels = period, 0.0, accel
+    if axis == "eps":
+        periods = period + 2e-8 * values
+    elif axis == "p0":
+        betas = 0.05 * values
+    else:
+        accels = 0.05 * values
+    if axis != "eps" and not detuned:
+        engine = "resonant"
+        want = resonant_return_amplitudes(n_kicks, phi_d, betas, accels, params)
+    elif axis != "accel" and accel == 0.0:
+        engine = "folded"
+        want = folded_return_amplitudes(n_kicks, phi_d, periods, betas, params)
+    else:
+        engine = "batched"
+        want = batched_return_amplitudes(n_kicks, phi_d, periods, betas, accels, params)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, attr in _ENGINES.items():
+            real = getattr(ladder, attr)
+            mp.setattr(ladder, attr, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+        got = ladder.return_amplitudes(n_kicks, phi_d, periods, betas, accels, params)
+    assert calls == [engine]
+    assert got.shape == want.shape == (n_points,)
+    assert np.array_equal(got, want)
+
+
 def test_resonant_grid_stays_blocked(params):
     """20001 betas x 33 accels at N = 300, the size of a Gaussian
     acceleration curve's grid: the (betas x 2N) phase factor (183 MiB) is
