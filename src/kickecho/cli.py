@@ -26,7 +26,6 @@ from typing import Any, BinaryIO, NamedTuple
 
 import numpy as np
 
-from .analytic import fwhm_accel, fwhm_eps, fwhm_p0
 from .config import (
     FORMAT_VERSION,
     KINDS,
@@ -46,6 +45,7 @@ from .ladder import (
 )
 from .params import HBAR, PhysicalParams, v0_from_gamma
 from .scans import (
+    PREDICTED_FWHM,
     find_tau_min,
     fit_scaling,
     gaussian_accel_scan,
@@ -77,35 +77,25 @@ class _ScanKind(NamedTuple):
     axis: str
     column: str
     # Metric keys of the measured width, the peak center and the width
-    # predicted by `predicted` (a function of n_kicks, phi_d, params).
+    # that scans.PREDICTED_FWHM gives for the axis.
     metrics: tuple[str, str, str]
-    predicted: Callable[[int, float, PhysicalParams], float]
     # Control-axis unit of the CSV, the window and the metrics, in SI.
     unit: Callable[[PhysicalParams], float] = lambda params: 1.0
 
 
 _SCAN_TABLE = {
-    "scan-eps": _ScanKind(
-        "eps", "eps_s", ("fwhm_s", "peak_eps_s", "predicted_fwhm_s"), fwhm_eps
-    ),
+    "scan-eps": _ScanKind("eps", "eps_s", ("fwhm_s", "peak_eps_s", "predicted_fwhm_s")),
     "scan-p0": _ScanKind(
         "p0",
         "p0_hbar_kappa",
         ("fwhm_p0_hbar_kappa", "peak_p0_hbar_kappa", "predicted_fwhm_p0_hbar_kappa"),
-        fwhm_p0,
         lambda params: params.recoil_momentum,
     ),
     "scan-accel": _ScanKind(
-        "accel",
-        "accel_m_s2",
-        ("fwhm_m_s2", "peak_accel_m_s2", "predicted_point_fwhm_m_s2"),
-        fwhm_accel,
+        "accel", "accel_m_s2", ("fwhm_m_s2", "peak_accel_m_s2", "predicted_point_fwhm_m_s2")
     ),
     "finite-scan": _ScanKind(
-        "eps",
-        "eps_s",
-        ("fwhm_s", "delta_eps_s", "predicted_delta_kick_fwhm_s"),
-        fwhm_eps,
+        "eps", "eps_s", ("fwhm_s", "delta_eps_s", "predicted_delta_kick_fwhm_s")
     ),
 }
 
@@ -364,7 +354,7 @@ def _run_scan(config: RunConfig, fh: BinaryIO):
     metrics = {
         width: curve.fwhm / unit,
         peak: curve.peak_center / unit,
-        predicted: kind.predicted(config["n_kicks"], spec.phi_d, params) / unit,
+        predicted: PREDICTED_FWHM[kind.axis](config["n_kicks"], spec.phi_d, params) / unit,
     }
     return derived, metrics
 

@@ -256,42 +256,35 @@ def apply_finite_pulse(
     spec: FinitePulseSpec,
     sign: int,
     params: PhysicalParams,
-    method: str = "adaptive",
 ) -> LadderState:
     """One square pulse exp(-(i/hbar)(p^2/2m + sign*(V0/2)cos kappa x)*tau_p).
 
-    method="adaptive": symmetric operator splitting, sub-step count doubled
-    until the output changes by less than SPLIT_TOL in norm-distance
-    (ConvergenceError past MAX_SUBSTEPS).  method="eig": exact tridiagonal
-    eigendecomposition; the two agree to oracle accuracy.
+    Symmetric operator splitting, the sub-step count doubled until the
+    output changes by less than SPLIT_TOL in norm-distance
+    (ConvergenceError past MAX_SUBSTEPS); it agrees with the exact
+    pulse_propagator to oracle accuracy.
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if spec.tau_p == 0.0:
         return LadderState(state.beta, state.q_max, state.amps.copy())
-    if method == "eig":
-        u = pulse_propagator(spec, state.beta, state.q_max, sign, params)
-        out = u @ state.amps
-    elif method == "adaptive":
-        n_sub = 1
-        out = _strang_pulse(state.amps, spec, state.beta, state.q_max, sign, params, n_sub)
-        while True:
-            if 2 * n_sub > MAX_SUBSTEPS:
-                raise ConvergenceError(
-                    f"pulse splitting not converged to {SPLIT_TOL:g} within "
-                    f"{MAX_SUBSTEPS} sub-steps",
-                    achieved=dist,
-                )
-            finer = _strang_pulse(
-                state.amps, spec, state.beta, state.q_max, sign, params, 2 * n_sub
+    n_sub = 1
+    out = _strang_pulse(state.amps, spec, state.beta, state.q_max, sign, params, n_sub)
+    while True:
+        if 2 * n_sub > MAX_SUBSTEPS:
+            raise ConvergenceError(
+                f"pulse splitting not converged to {SPLIT_TOL:g} within "
+                f"{MAX_SUBSTEPS} sub-steps",
+                achieved=dist,
             )
-            dist = float(np.linalg.norm(finer - out))
-            out = finer
-            if dist < SPLIT_TOL:
-                break
-            n_sub *= 2
-    else:
-        raise ValueError(f"unknown method {method!r}")
+        finer = _strang_pulse(
+            state.amps, spec, state.beta, state.q_max, sign, params, 2 * n_sub
+        )
+        dist = float(np.linalg.norm(finer - out))
+        out = finer
+        if dist < SPLIT_TOL:
+            break
+        n_sub *= 2
     _check_edges(out, state.q_max)
     return LadderState(state.beta, state.q_max, out)
 

@@ -413,17 +413,6 @@ class SequenceSpec:
         return self.period - params.talbot_time
 
 
-def at_resonance(
-    n_kicks: int,
-    phi_d: float,
-    params: PhysicalParams,
-    detuning: float = 0.0,
-    accel: float = 0.0,
-) -> SequenceSpec:
-    """SequenceSpec with period = talbot_time + detuning."""
-    return SequenceSpec(n_kicks, phi_d, params.talbot_time + detuning, accel)
-
-
 def run_sequence(
     seq: SequenceSpec,
     beta: float,

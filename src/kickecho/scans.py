@@ -257,23 +257,17 @@ def _outputs(
     return np.abs(amps) ** 2
 
 
-def _auto_half_span(
-    spec: SequenceSpec | FinitePulseSpec, params: PhysicalParams, axis: str
-) -> float:
+# Predicted FWHM of each control axis, a function of (n_kicks, phi_d, params).
+PREDICTED_FWHM = {"eps": fwhm_eps, "p0": fwhm_p0, "accel": fwhm_accel}
+
+
+def _auto_half_span(n_kicks: int, phi_d: float, params: PhysicalParams, axis: str) -> float:
     """Half-width of the default scan window: twice the predicted FWHM."""
-    if isinstance(spec, FinitePulseSpec):
-        n, phi_d = spec.n_pulses, spec.phi_d
-    else:
-        n, phi_d = spec.n_kicks, spec.phi_d
     if phi_d <= 0.0:
         raise ValueError("cannot auto-range a scan with zero kick strength")
-    if axis == "eps":
-        return 2.0 * fwhm_eps(n, phi_d, params)
-    if axis == "p0":
-        return 2.0 * fwhm_p0(n, phi_d, params)
-    if axis == "accel":
-        return 2.0 * fwhm_accel(n, phi_d, params)
-    raise ValueError(f"unknown control axis {axis!r}")
+    if axis not in PREDICTED_FWHM:
+        raise ValueError(f"unknown control axis {axis!r}")
+    return 2.0 * PREDICTED_FWHM[axis](n_kicks, phi_d, params)
 
 
 def _evaluate(
@@ -297,6 +291,14 @@ def _evaluate(
     return np.concatenate(parts)
 
 
+# A finite-pulse curve whose largest sample falls below this has no echo
+# peak left to measure.  Healthy peaks near the width minimum reach 0.3-1.0;
+# past it the echo collapses by orders of magnitude, so the cutoff only
+# short-circuits hopeless windows (a real peak that is merely wider than
+# the window keeps its near-peak samples high and takes the widen path).
+NO_PEAK_FLOOR = 0.02
+
+
 def scan(
     control_axis: str,
     spec: SequenceSpec | FinitePulseSpec,
@@ -306,6 +308,9 @@ def scan(
     workers: int = 1,
 ) -> ScanCurve:
     """Sweep one control axis and measure the central peak.
+
+    The window moves as _measure_peak says: it widens threefold while the
+    peak is unbracketed, and a default window zooms onto a narrow peak.
 
     Parameters
     ----------
@@ -318,8 +323,9 @@ def scan(
         Sequence to drive.  A FinitePulseSpec selects the finite-pulse
         engine.
     window : (lo, hi), optional
-        Control range.  Defaults to four predicted widths centered on
-        zero offset.
+        First control range, sampled as given.  Defaults to two predicted
+        widths on each side of zero offset, which on the "eps" axis spans
+        at most min(spec.period, T_T).
     n_points : int
         Samples across the window; at least 32.
     workers : int
@@ -329,40 +335,81 @@ def scan(
 
     Returns
     -------
-    ScanCurve with peak_center and fwhm filled in.
+    ScanCurve of the final window, with peak_center and fwhm filled in.
 
     Raises
     ------
     PeakNotBracketedError
-        If the peak is not bracketed even after widening the window once
-        (by a factor of four).
+        If the peak is not bracketed by a window of the largest span
+        ("eps" axis) or within 16 windows, or a finite-pulse window stays
+        below NO_PEAK_FLOOR.
     """
     if n_points < 32:
         raise ValueError(f"n_points must be at least 32, got {n_points}")
+    finite = isinstance(spec, FinitePulseSpec)
+    # Periods must stay positive and the neighboring resonance peaks out
+    # of the scan, so an eps window spans at most one resonance period.
+    cap = min(spec.period, params.talbot_time) if control_axis == "eps" else math.inf
     if window is None:
-        half_span = _auto_half_span(spec, params, control_axis)
-        window = (-half_span, half_span)
+        n = spec.n_pulses if finite else spec.n_kicks
+        half = min(_auto_half_span(n, spec.phi_d, params, control_axis), 0.5 * cap)
+        window = (-half, half)
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError(f"empty scan window ({lo!r}, {hi!r})")
 
     def sample(lo: float, hi: float) -> ScanCurve:
         values = np.linspace(lo, hi, n_points)
-        return ScanCurve(values, _evaluate(spec, params, control_axis, values, workers))
+        output = _evaluate(spec, params, control_axis, values, workers)
+        if finite and float(np.max(output)) < NO_PEAK_FLOOR:
+            raise PeakNotBracketedError(
+                f"output stays below {NO_PEAK_FLOOR} across the window for "
+                f"tau_p = {spec.tau_p:.6g} s; the echo peak has washed out"
+            )
+        return ScanCurve(values, output)
 
-    return _measure_widening_once(sample, lo, hi)
+    return _measure_peak(sample, lo, hi, zoom=window is None, cap=cap)
 
 
-def _measure_widening_once(
-    sample: Callable[[float, float], ScanCurve], lo: float, hi: float
+def _measure_peak(
+    sample: Callable[[float, float], ScanCurve],
+    lo: float,
+    hi: float,
+    zoom: bool,
+    cap: float = math.inf,
 ) -> ScanCurve:
-    """Measure sample(lo, hi); if its peak is not bracketed, widen the
-    window fourfold about its center once and measure again."""
-    try:
-        return sample(lo, hi).measured()
-    except PeakNotBracketedError:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return sample(mid - 4.0 * half, mid + 4.0 * half).measured()
+    """Measure sample(lo, hi), moving the window until the peak is measured.
+
+    While the peak is unbracketed the window widens threefold about its
+    center, its span clipped to cap; a window that already spans cap
+    raises.  With zoom set, a width under a tenth of the span narrows the
+    window to four widths about its center, at most twice, so that the
+    interpolation error stays in the 1e-3 range.  At most 16 windows are
+    sampled.
+    """
+    zooms = 0
+    for _ in range(16):
+        # sample raises at once on a window it rejects; only an unbracketed
+        # peak moves the window.
+        curve = sample(lo, hi)
+        try:
+            curve = curve.measured()
+        except PeakNotBracketedError:
+            if hi - lo >= cap:
+                raise PeakNotBracketedError(
+                    f"peak is wider than the widest scan window, "
+                    f"min(period, T_T) = {cap:.6g} s"
+                ) from None
+            mid, half = 0.5 * (lo + hi), min(1.5 * (hi - lo), 0.5 * cap)
+            lo, hi = mid - half, mid + half
+            continue
+        if zoom and zooms < 2 and curve.fwhm < (hi - lo) / 10.0:
+            mid = 0.5 * (lo + hi)
+            lo, hi = mid - 2.0 * curve.fwhm, mid + 2.0 * curve.fwhm
+            zooms += 1
+            continue
+        return curve
+    raise PeakNotBracketedError("peak not measured within 16 scan windows")
 
 
 def _beta_average_nodes(
@@ -459,13 +506,15 @@ def gaussian_accel_scan(
     even in beta, so only nonnegative accelerations are evaluated and
     the curve is mirrored (the closed form of resonant_return_amplitudes
     keeps this symmetry).  An explicit window must therefore be
-    symmetric about zero.  The peak is measured exactly as in `scan`,
-    including the widen-once fallback.
+    symmetric about zero.  The peak is measured by the window loop of
+    `scan` (_measure_peak), which keeps the window symmetric: it widens
+    threefold while the peak is unbracketed, and the default window of
+    two plane-wave widths on each side zooms onto a narrow peak.
     """
     if n_points < 32:
         raise ValueError(f"n_points must be at least 32, got {n_points}")
     if window is None:
-        half = 2.0 * fwhm_accel(n_kicks, phi_d, params)
+        half = _auto_half_span(n_kicks, phi_d, params, "accel")
     else:
         lo, hi = float(window[0]), float(window[1])
         if not (hi > 0.0 and lo == -hi):
@@ -476,22 +525,14 @@ def gaussian_accel_scan(
         half = hi
 
     def sample(lo: float, hi: float) -> ScanCurve:
-        # The window stays symmetric through the widening, so lo == -hi.
+        # The window loop keeps the window symmetric, so lo == -hi.
         pos = np.linspace(0.0, hi, n_points // 2 + 1)
         vals = gaussian_accel_curve(n_kicks, phi_d, pos, wavepacket, params, tol)
         return ScanCurve(
             np.concatenate([-pos[:0:-1], pos]), np.concatenate([vals[:0:-1], vals])
         )
 
-    return _measure_widening_once(sample, -half, half)
-
-
-# A timing curve whose largest sample falls below this has no echo peak
-# left to measure.  Healthy peaks near the width minimum reach 0.3-1.0;
-# past it the echo collapses by orders of magnitude, so the cutoff only
-# short-circuits hopeless windows (a real peak that is merely wider than
-# the window keeps its near-peak samples high and takes the widen path).
-NO_PEAK_FLOOR = 0.02
+    return _measure_peak(sample, -half, half, zoom=window is None)
 
 
 def _finite_width(
@@ -502,51 +543,11 @@ def _finite_width(
     center: float,
     n_points: int = 65,
 ) -> tuple[float, float]:
-    """Width and center of the timing peak of a finite-pulse sequence.
-
-    Self-contained deterministic measurement: the window is seeded from
-    the ideal-kick width prediction at the pulse area of this duration,
-    widened threefold while the peak is unbracketed, and zoomed (at most
-    twice) when the measured width is a small fraction of the span so
-    the interpolation error stays in the 1e-3 range.  The window never
-    exceeds one resonance period: periods must stay positive and the
-    neighboring resonance peaks must stay out of the scan, so a peak
-    wider than that is reported as unbracketed.
-
-    Returns (fwhm, absolute peak period).
-    """
-    spec = FinitePulseSpec(
-        n_pulses=n_pulses, v0=v0, tau_p=tau_p, period=center
-    )
-    cap = min(float(center), params.talbot_time)
-    span = min(2.0 * _auto_half_span(spec, params, "eps"), cap)
-    zooms = 0
-    for _ in range(16):
-        values = np.linspace(-0.5 * span, 0.5 * span, n_points)
-        output = _outputs(spec, params, "eps", values)
-        if float(np.max(output)) < NO_PEAK_FLOOR:
-            raise PeakNotBracketedError(
-                f"output stays below {NO_PEAK_FLOOR} across the window for "
-                f"tau_p = {tau_p:.6g} s; the echo peak has washed out"
-            )
-        try:
-            fwhm, peak = extract_fwhm(ScanCurve(values, output))
-        except PeakNotBracketedError:
-            if span >= cap:
-                raise PeakNotBracketedError(
-                    f"timing peak for tau_p = {tau_p:.6g} s is wider than "
-                    f"one resonance period"
-                ) from None
-            span = min(3.0 * span, cap)
-            continue
-        if fwhm < span / 10.0 and zooms < 2:
-            span = 4.0 * fwhm
-            zooms += 1
-            continue
-        return fwhm, center + peak
-    raise PeakNotBracketedError(
-        f"no measurable timing peak for tau_p = {tau_p:.6g} s"
-    )
+    """Width and absolute peak period of the timing peak of a finite-pulse
+    sequence with period center, measured by `scan` on its default window."""
+    spec = FinitePulseSpec(n_pulses=n_pulses, v0=v0, tau_p=tau_p, period=center)
+    curve = scan("eps", spec, params, n_points=n_points)
+    return curve.fwhm, center + curve.peak_center
 
 
 def _walk_until_turned(

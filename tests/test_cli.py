@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kickecho import cli, ladder
+from kickecho import cli, ladder, scans
 from kickecho.analytic import fwhm_accel, fwhm_eps, fwhm_p0
 from kickecho.cli import _format_cell, _render_csv, main, sidecar_path
 from kickecho.config import resolve
@@ -379,6 +379,69 @@ def test_finite_scan_does_not_depend_on_parallel(tmp_path):
     assert sides[0] == sides[1] == sides[2]
     columns = [_read_columns(str(tmp_path / f"fin{w}.csv"))[2] for w in (1, 2, 3)]
     assert np.array_equal(columns[0], columns[1]) and np.array_equal(columns[0], columns[2])
+
+
+def test_finite_scan_measures_what_the_width_search_measures(tmp_path):
+    """finite-scan and the tau-min width search share one window loop: at
+    (gamma, N) = (100, 16) fwhm_s equals scans._finite_width on the same
+    97 points, bit for bit.  At tau_p = 0.5576 us the first window does not
+    bracket the peak and widens; at 0.675 us a widen-once loop exited 3."""
+    params = resolve(
+        "finite-scan", {"n_kicks": 16, "gamma": 100.0, "tau_p_us": 0.675}
+    ).physical_params()
+    v0 = v0_from_gamma(100.0, params)
+    for tau_us in ("0.5576", "0.675"):
+        out = str(tmp_path / f"fin{tau_us}.csv")
+        argv = ["finite-scan", "--set", "n_kicks=16", "--set", "gamma=100",
+                "--set", f"tau_p_us={tau_us}", "--out", out]
+        assert run_cli(*argv) == 0
+        side = json.load(open(sidecar_path(out), encoding="utf-8"))
+        assert side["config"]["points"] == 97
+        fwhm, _ = scans._finite_width(
+            16, v0, float(tau_us) * 1e-6, params, params.talbot_time, n_points=97
+        )
+        assert side["metrics"]["fwhm_s"] == fwhm
+
+
+def test_gaussian_accel_scan_widens_until_bracketed(tmp_path, capsys):
+    """At N = 100 the wavepacket broadens the acceleration peak past the
+    first window, which widens until the peak is bracketed: the curve is
+    gaussian_accel_scan on the final window.  At N = 300 the curve has
+    side maxima above half of its peak (I about 9e-6), so the width is
+    ambiguous and the run exits 3; it takes six windows of about 1.5 s
+    each, so it runs on 33 points, which see the same side maxima as the
+    default 161."""
+    base = ["scan-accel", "--set", "phi_d=1", "--set", "sigma_x_um=100"]
+    out = str(tmp_path / "wp100.csv")
+    assert run_cli(*base, "--set", "n_kicks=100", "--out", out) == 0
+    _, control, output = _read_columns(out)
+    side = json.load(open(sidecar_path(out), encoding="utf-8"))
+    params = resolve("scan-accel", {"n_kicks": 100, "phi_d": 1.0}).physical_params()
+    hi = float(control[-1])
+    assert control[0] == -hi and hi > 2.0 * fwhm_accel(100, 1.0, params)
+    direct = gaussian_accel_scan(
+        100, 1.0, WavepacketSpec(sigma_x=100.0 * 1e-6), params, window=(-hi, hi),
+        n_points=side["config"]["points"],
+    )
+    assert np.array_equal(control, direct.control)
+    assert np.array_equal(output, direct.output)
+    assert side["metrics"]["fwhm_m_s2"] == direct.fwhm
+    capsys.readouterr()
+    out = str(tmp_path / "wp300.csv")
+    assert run_cli(*base, "--set", "n_kicks=300", "--points", "33", "--out", out) == 3
+    assert capsys.readouterr().err.startswith("error: engine: secondary maximum")
+    assert not os.path.exists(out)
+
+
+def test_weak_timing_scan_fails_as_an_engine_error(tmp_path, capsys):
+    """Two weak kicks make a timing peak wider than one resonance period.
+    The window stops widening at that span, so every period stays
+    positive, and the run is an engine failure rather than a config one."""
+    out = str(tmp_path / "weak.csv")
+    argv = ["scan-eps", "--set", "n_kicks=2", "--set", "phi_d=0.5", "--out", out]
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr().err.startswith("error: engine: peak is wider than")
+    assert not os.path.exists(out) and not os.path.exists(sidecar_path(out))
 
 
 def test_tau_min_sweep_smoke(tmp_path):

@@ -28,7 +28,6 @@ from kickecho.ladder import (
     apply_free_evolution,
     apply_free_evolution_accelerated,
     apply_kick,
-    at_resonance,
     auto_q_max,
     basis_state,
     batched_return_amplitudes,
@@ -200,7 +199,7 @@ def test_free_evolution_half_talbot_parity(params):
 
 
 def test_perfect_echo_and_time_reversal(params):
-    seq = at_resonance(10, 0.8, params)
+    seq = SequenceSpec(10, 0.8, params.talbot_time)
     final, output = run_sequence(seq, beta=0.0, params=params)
     assert output == pytest.approx(1.0, abs=1e-10)
     target = np.zeros_like(final.amps)
@@ -209,13 +208,13 @@ def test_perfect_echo_and_time_reversal(params):
 
 
 def test_detuned_output_frozen_value(params):
-    seq = at_resonance(50, 0.5, params, detuning=3e-9)
+    seq = SequenceSpec(50, 0.5, params.talbot_time + 3e-9)
     _, output = run_sequence(seq, beta=0.0, params=params)
     assert output == pytest.approx(I_N50_EPS3NS, rel=1e-10)
 
 
 def test_output_even_in_beta(params):
-    seq = at_resonance(12, 0.6, params, detuning=5e-9)
+    seq = SequenceSpec(12, 0.6, params.talbot_time + 5e-9)
     _, plus = run_sequence(seq, beta=0.17, params=params)
     _, minus = run_sequence(seq, beta=-0.17, params=params)
     assert plus == pytest.approx(minus, rel=1e-12)
@@ -634,7 +633,7 @@ def test_accelerated_interval_phase(params):
 
 def test_momentum_history_structure(params):
     n_kicks, phi_d = 8, 0.5
-    seq = at_resonance(n_kicks, phi_d, params)
+    seq = SequenceSpec(n_kicks, phi_d, params.talbot_time)
     q_values, history = momentum_history(seq, beta=0.0, params=params)
     assert history.shape == (2 * n_kicks, q_values.size)
     q0 = int(np.nonzero(q_values == 0)[0][0])
@@ -708,7 +707,7 @@ def test_train_matrix_matches_state_evolution(params):
 def test_gaussian_output_plane_wave_limit(params):
     """A very wide packet has a delta-like momentum density, so the
     coherent average must collapse onto the beta = 0 fiber output."""
-    seq = at_resonance(10, 0.5, params, detuning=2e-9)
+    seq = SequenceSpec(10, 0.5, params.talbot_time + 2e-9)
     wide = gaussian_output(seq, WavepacketSpec(sigma_x=0.1), params)
     _, fiber = run_sequence(seq, beta=0.0, params=params)
     assert wide == pytest.approx(fiber, abs=1e-5)
@@ -717,7 +716,7 @@ def test_gaussian_output_plane_wave_limit(params):
 def test_gaussian_output_frozen_resonance_deficit(params):
     """sigma_x = 100 um at exact resonance: the finite momentum spread
     suppresses the echo below 1 (frozen regression value)."""
-    seq = at_resonance(20, 0.5, params)
+    seq = SequenceSpec(20, 0.5, params.talbot_time)
     value = gaussian_output(seq, WavepacketSpec(sigma_x=100e-6), params)
     assert value == pytest.approx(0.7468264378765547, rel=1e-8)
 
@@ -725,7 +724,7 @@ def test_gaussian_output_frozen_resonance_deficit(params):
 def test_gaussian_output_against_grid_oracle(params):
     """Independent check of the whole coherent-average machinery: evolve
     an actual Gaussian on a wide position grid and take the overlap."""
-    seq = at_resonance(6, 0.8, params, detuning=2e-8)
+    seq = SequenceSpec(6, 0.8, params.talbot_time + 2e-8)
     wavepacket = WavepacketSpec(sigma_x=2e-6)
     fiber = gaussian_output(seq, wavepacket, params, tol=1e-7)
     grid = delta_wavepacket_grid_output(
@@ -746,7 +745,7 @@ def test_gaussian_output_mirrors_the_nonnegative_nodes(params, monkeypatch):
         return batched_return_amplitudes(*args)
 
     monkeypatch.setattr(ladder, "batched_return_amplitudes", spy)
-    seq = at_resonance(8, 0.5, params, detuning=2e-9)
+    seq = SequenceSpec(8, 0.5, params.talbot_time + 2e-9)
     folded = gaussian_output(seq, wp, params)
     assert len(seen) >= 2
     assert all(b[0] == 0.0 and np.all(b[1:] > 0.0) for b in seen)
@@ -755,7 +754,7 @@ def test_gaussian_output_mirrors_the_nonnegative_nodes(params, monkeypatch):
     assert abs(folded - abs(np.dot(weights, amps)) ** 2) <= 1e-15
 
     seen.clear()
-    gaussian_output(at_resonance(8, 0.5, params, detuning=2e-9, accel=0.01), wp, params)
+    gaussian_output(SequenceSpec(8, 0.5, params.talbot_time + 2e-9, 0.01), wp, params)
     assert seen and all(b.size % 2 == 1 and b[0] < 0.0 for b in seen)
 
 
@@ -771,7 +770,9 @@ def test_gaussian_echo_keeps_its_edge_failure_on_half_the_nodes(params, monkeypa
 
     monkeypatch.setattr(ladder, "batched_return_amplitudes", spy)
     with pytest.raises(TruncationError) as err:
-        gaussian_output(at_resonance(40, 0.5, params), WavepacketSpec(sigma_x=100e-6), params)
+        gaussian_output(
+            SequenceSpec(40, 0.5, params.talbot_time), WavepacketSpec(sigma_x=100e-6), params
+        )
     assert str(err.value) == (
         "edge-band population 1.452e-12 exceeds 1e-12 on ladder with q_max = 49; "
         "rerun with a wider ladder"

@@ -18,6 +18,7 @@ from kickecho.errors import (
     PeakNotBracketedError,
 )
 from kickecho import scans
+from kickecho.finite_pulse import FinitePulseSpec
 from kickecho.ladder import (
     SequenceSpec,
     WavepacketSpec,
@@ -27,6 +28,7 @@ from kickecho.ladder import (
     resonant_return_amplitudes,
     run_sequence,
 )
+from kickecho.params import v0_from_gamma
 from kickecho.scans import (
     ScanCurve,
     extract_fwhm,
@@ -227,34 +229,62 @@ def test_accel_curve_matches_the_two_train_engine(params, monkeypatch):
     assert np.max(np.abs(vals - np.abs(amps @ weights) ** 2)) <= 1e-11
 
 
-def test_scan_widens_a_too_narrow_window_once(params):
-    """Both scans widen an unbracketing window fourfold about its center,
-    once: the result equals a scan of the widened window bit for bit, and
-    a window that is still too narrow after that fails."""
+def test_scan_widens_a_too_narrow_window_until_bracketed(params):
+    """Both scans widen an unbracketing window threefold about its center
+    until the peak is bracketed: the result equals a scan of the final
+    window bit for bit.  An eps window that already spans the cap,
+    min(period, T_T), fails."""
     spec = SequenceSpec(20, 0.5, params.talbot_time)
     w = fwhm_eps(20, 0.5, params)
     c = scan("eps", spec, params, window=(-w / 4.0, w / 4.0), n_points=65)
     assert c.fwhm == pytest.approx(w, rel=2e-2)
-    direct = scan("eps", spec, params, window=(-w, w), n_points=65)
+    direct = scan("eps", spec, params, window=(-0.75 * w, 0.75 * w), n_points=65)
     assert np.array_equal(c.control, direct.control)
     assert np.array_equal(c.output, direct.output)
+    assert c.fwhm == direct.fwhm
     # An off-center window widens about its own center.
     c = scan("eps", spec, params, window=(-w / 8.0, w / 4.0), n_points=65)
-    assert c.control[0] == pytest.approx(w / 16.0 - 0.75 * w, rel=1e-12)
-    assert c.control[-1] == pytest.approx(w / 16.0 + 0.75 * w, rel=1e-12)
-    with pytest.raises(PeakNotBracketedError):
-        scan("eps", spec, params, window=(-w / 200.0, w / 200.0), n_points=65)
+    assert c.control[0] == pytest.approx(w / 16.0 - 9.0 * w / 16.0, rel=1e-12)
+    assert c.control[-1] == pytest.approx(w / 16.0 + 9.0 * w / 16.0, rel=1e-12)
+    # w/100 wide, then 3, 9, 27, 81 and 243 times that.
+    c = scan("eps", spec, params, window=(-w / 200.0, w / 200.0), n_points=65)
+    assert c.control[-1] == pytest.approx(243.0 * w / 200.0, rel=1e-12)
+    assert c.fwhm == pytest.approx(w, rel=2e-2)
+    # Two weak kicks make a timing peak wider than one resonance period.
+    weak = SequenceSpec(2, 0.5, params.talbot_time)
+    half = 0.5 * params.talbot_time
+    for window in ((-half, half), None):
+        with pytest.raises(PeakNotBracketedError, match="widest scan window"):
+            scan("eps", weak, params, window=window, n_points=65)
 
     wp = WavepacketSpec(sigma_x=1e-4)
     a = fwhm_accel(10, 0.5, params)
     g = gaussian_accel_scan(10, 0.5, wp, params, window=(-a / 4.0, a / 4.0), n_points=33)
     assert g.fwhm == pytest.approx(a, rel=2e-2)
-    direct = gaussian_accel_scan(10, 0.5, wp, params, window=(-a, a), n_points=33)
+    direct = gaussian_accel_scan(10, 0.5, wp, params, window=(-0.75 * a, 0.75 * a), n_points=33)
     assert np.array_equal(g.control, direct.control)
     assert np.array_equal(g.output, direct.output)
     assert g.fwhm == direct.fwhm
-    with pytest.raises(PeakNotBracketedError):
-        gaussian_accel_scan(10, 0.5, wp, params, window=(-a / 200.0, a / 200.0), n_points=33)
+    g = gaussian_accel_scan(10, 0.5, wp, params, window=(-a / 200.0, a / 200.0), n_points=33)
+    assert g.control[-1] == pytest.approx(243.0 * a / 200.0, rel=1e-12)
+    assert g.fwhm == pytest.approx(a, rel=2e-2)
+
+
+def test_finite_scan_below_the_floor_fails_at_once(params, monkeypatch):
+    """A finite-pulse window whose output stays below NO_PEAK_FLOOR raises
+    on the first window instead of widening.  The stand-in engine returns
+    a flat output of 0.01, which would otherwise count as unbracketed."""
+    calls = []
+
+    def faint(n_pulses, v0, tau_p, periods, betas, params):
+        calls.append(periods)
+        return np.full(np.shape(periods), 0.1 + 0.0j)
+
+    monkeypatch.setattr(scans, "finite_return_amplitudes", faint)
+    spec = FinitePulseSpec(16, v0_from_gamma(100.0, params), 0.5e-6, params.talbot_time)
+    with pytest.raises(PeakNotBracketedError, match="washed out"):
+        scan("eps", spec, params, n_points=33)
+    assert len(calls) == 1
 
 
 def test_scan_argument_validation(params):
