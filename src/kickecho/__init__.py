@@ -19,8 +19,9 @@ analytic
     First-order phase slopes, closed-form output curves, and peak
     widths for the three control axes.
 finite_pulse
-    Square-pulse propagation (tridiagonal eigensolve and split-operator
-    oracle) replacing the instantaneous kicks.
+    Square-pulse propagation (one propagator, the tridiagonal
+    eigensolve) replacing the instantaneous kicks.  The split-operator
+    and position-grid oracles that check it are in tests/oracles.py.
 scans
     Parameter sweeps, peak-width extraction, the width-minimizing pulse
     duration, and power-law fits.
@@ -50,7 +51,6 @@ from .analytic import (
 from .errors import (
     ConvergenceError,
     EngineError,
-    GridResolutionError,
     InsufficientSpanError,
     MultimodalPeakError,
     NoInteriorMinimumError,
@@ -60,14 +60,11 @@ from .errors import (
 )
 from .finite_pulse import (
     FinitePulseSpec,
-    apply_finite_pulse,
     auto_q_max_finite,
     finite_gaussian_output,
     finite_return_amplitudes,
     pulse_propagator,
     run_finite_sequence,
-    splitstep_fiber,
-    splitstep_output,
 )
 from .ladder import (
     LadderState,
@@ -90,12 +87,9 @@ from .ladder import (
 )
 from .params import (
     HBAR,
-    KickStrength,
     PhysicalParams,
     derive_params,
     gamma_from_v0,
-    kick_strength_from_gamma,
-    kick_strength_from_pulse,
     rb85_params,
     v0_from_gamma,
 )
@@ -132,7 +126,6 @@ __all__ = [
     "p0_phase_slopes",
     "ConvergenceError",
     "EngineError",
-    "GridResolutionError",
     "InsufficientSpanError",
     "MultimodalPeakError",
     "NoInteriorMinimumError",
@@ -140,14 +133,11 @@ __all__ = [
     "SingularCoefficientError",
     "TruncationError",
     "FinitePulseSpec",
-    "apply_finite_pulse",
     "auto_q_max_finite",
     "finite_gaussian_output",
     "finite_return_amplitudes",
     "pulse_propagator",
     "run_finite_sequence",
-    "splitstep_fiber",
-    "splitstep_output",
     "LadderState",
     "SequenceSpec",
     "WavepacketSpec",
@@ -166,12 +156,9 @@ __all__ = [
     "return_amplitudes",
     "run_sequence",
     "HBAR",
-    "KickStrength",
     "PhysicalParams",
     "derive_params",
     "gamma_from_v0",
-    "kick_strength_from_gamma",
-    "kick_strength_from_pulse",
     "rb85_params",
     "v0_from_gamma",
     "ScalingFit",

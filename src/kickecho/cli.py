@@ -43,7 +43,7 @@ from .ladder import (
     momentum_history,
     return_amplitudes,
 )
-from .params import HBAR, PhysicalParams, v0_from_gamma
+from .params import PhysicalParams, v0_from_gamma
 from .scans import (
     PREDICTED_FWHM,
     find_tau_min,
@@ -100,7 +100,10 @@ _SCAN_TABLE = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of main, built on its first call and kept for the process:
+    building every subcommand took 1.4-2.4 ms, as long as a short run."""
     parser = argparse.ArgumentParser(
         prog="kickecho",
         description="Kicked-rotor echo interferometer simulations.",
@@ -447,8 +450,10 @@ def _run_peak_shift(config: RunConfig, fh: BinaryIO):
     header = ["multiple_l", "delta_eps_s"]
     rows = [[l + 1, shift] for l, shift in enumerate(shifts)]
     _write_csv(fh, header, rows)
-    v0 = v0_from_gamma(gamma, params)
-    derived = _derived(params, gamma=gamma, v0_j=v0, phi_d=v0 * tau_p / (2.0 * HBAR))
+    spec = FinitePulseSpec(
+        config["n_kicks"], v0_from_gamma(gamma, params), tau_p, params.talbot_time
+    )
+    derived = _derived(params, gamma=gamma, v0_j=spec.v0, phi_d=spec.phi_d)
     metrics: dict[str, Any] = {"delta_eps_s": shifts}
     if len(shifts) >= 2 and shifts[0] != 0.0:
         metrics["rel_diff_l2_l1"] = abs(shifts[1] - shifts[0]) / abs(shifts[0])
@@ -465,15 +470,8 @@ _RUNNERS = {
 }
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of main, built on its first call and kept for the process:
-    building every subcommand took 1.4-2.4 ms, as long as a short run."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if sidecar_path(args.out) == args.out:
             raise ConfigError(f"--out {args.out!r} would be overwritten by its JSON sidecar")

@@ -26,10 +26,6 @@ class ConvergenceError(EngineError):
         self.achieved = achieved
 
 
-class GridResolutionError(EngineError):
-    """Position-grid propagation showed norm/energy drift above tolerance."""
-
-
 class SingularCoefficientError(EngineError):
     """A phase-slope formula was evaluated at a vanishing Bessel factor."""
 

@@ -159,6 +159,11 @@ BLOCK_ENTRIES = 32768
 # large.
 HISTORY_BLOCK_CELLS = 4096
 
+# Node cap of the Gauss-Hermite fiber average (_fiber_average): the rule
+# doubles from 33 nodes (2n - 1) up to this count, at least 65 so that two
+# rules are compared.
+MAX_FIBER_NODES = 4097
+
 
 @dataclass
 class LadderState:
@@ -184,9 +189,6 @@ class LadderState:
     def q_values(self) -> np.ndarray:
         return np.arange(-self.q_max, self.q_max + 1)
 
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
     def populations(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
@@ -210,13 +212,14 @@ def _check_q_max(q_max: int) -> int:
     return q_max
 
 
-def _check_n_kicks(n_kicks: int) -> int:
-    """n_kicks if it is a positive integer (not a bool), else ValueError:
-    an empty train would return c_0 = 1 without running anything."""
+def _check_n_kicks(n_kicks: int, name: str = "n_kicks") -> int:
+    """n_kicks if it is a positive integer (not a bool), else ValueError
+    naming it as name: an empty train would return c_0 = 1 without running
+    anything, and a float count would fail inside an engine's loop."""
     if isinstance(n_kicks, bool) or not (
         isinstance(n_kicks, numbers.Integral) and n_kicks >= 1
     ):
-        raise ValueError(f"n_kicks must be a positive integer, got {n_kicks!r}")
+        raise ValueError(f"{name} must be a positive integer, got {n_kicks!r}")
     return n_kicks
 
 
@@ -400,17 +403,13 @@ class SequenceSpec:
     accel: float = 0.0
 
     def __post_init__(self):
-        if self.n_kicks < 1 or int(self.n_kicks) != self.n_kicks:
-            raise ValueError(f"n_kicks must be a positive integer, got {self.n_kicks!r}")
+        _check_n_kicks(self.n_kicks)
         if not (0.0 <= self.phi_d < math.inf):
             raise ValueError(f"phi_d must be finite and >= 0, got {self.phi_d!r}")
         if not (0.0 < self.period < math.inf):
             raise ValueError(f"period must be finite and positive, got {self.period!r}")
         if not math.isfinite(self.accel):
             raise ValueError(f"accel must be finite, got {self.accel!r}")
-
-    def detuning(self, params: PhysicalParams) -> float:
-        return self.period - params.talbot_time
 
 
 def run_sequence(
@@ -952,7 +951,6 @@ def gaussian_output(
     wavepacket: WavepacketSpec,
     params: PhysicalParams,
     tol: float = 1e-4,
-    max_nodes: int = 4097,
     q_max: int | None = None,
 ) -> float:
     """Return probability of a Gaussian wavepacket through the sequence.
@@ -975,7 +973,6 @@ def gaussian_output(
         wavepacket,
         params,
         tol,
-        max_nodes,
         even=seq.accel == 0.0,
     )
 
@@ -985,15 +982,14 @@ def _fiber_average(
     wavepacket: WavepacketSpec,
     params: PhysicalParams,
     tol: float,
-    max_nodes: int,
     even: bool = False,
 ) -> float:
     """|sum_j w_j c_0(beta_j)|^2 over Gauss-Hermite nodes of the wavepacket.
 
     amplitudes maps the node betas to the fiber return amplitudes.  The
     node count starts at 33 and is doubled (2n - 1, so the count stays
-    odd) until the result changes by less than tol (relative), so a cap
-    below 65 nodes could never converge and raises ValueError.
+    odd) until the result changes by less than tol (relative), up to
+    MAX_FIBER_NODES; past that it raises ConvergenceError.
 
     With even set, the caller asserts c_0(beta) = c_0(-beta) (parity, at
     zero acceleration).  The rules have an odd node count and
@@ -1001,11 +997,9 @@ def _fiber_average(
     beta >= 0, from the middle node beta = 0 on, and their amplitudes
     are mirrored onto the rest.
     """
-    if max_nodes < 65:
-        raise ValueError(f"max_nodes must be at least 65, got {max_nodes!r}")
     prev = None
     n = 33
-    while n <= max_nodes:
+    while n <= MAX_FIBER_NODES:
         betas, weights = gaussian_beta_nodes(wavepacket, params, n)
         if even:
             half = amplitudes(betas[n // 2 :])
@@ -1018,6 +1012,6 @@ def _fiber_average(
         prev = val
         n = 2 * n - 1
     raise ConvergenceError(
-        f"fiber quadrature did not converge to {tol:g} within {max_nodes} nodes",
+        f"fiber quadrature did not converge to {tol:g} within {MAX_FIBER_NODES} nodes",
         achieved=abs(val - prev) / max(abs(val), 1e-12),
     )

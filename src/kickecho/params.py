@@ -93,38 +93,6 @@ def rb85_params(
     return derive_params(mass_u * ATOMIC_MASS_KG, wavelength)
 
 
-@dataclass(frozen=True)
-class KickStrength:
-    """Strength of one standing-wave pulse.
-
-    phi_d is the dimensionless kick phase that enters exp(-i*phi_d*cos(kappa x)).
-    For a square pulse of depth V0 over duration tau_p, phi_d = V0*tau_p/(2*hbar).
-    V0, tau_p and the dimensionless depth gamma = mass*V0/(hbar*kappa)^2 are
-    carried along when known; a bare phi_d leaves them None.
-    """
-
-    phi_d: float
-    v0: float | None = None
-    tau_p: float | None = None
-    gamma: float | None = None
-
-
-def kick_strength_from_pulse(
-    v0: float, tau_p: float, params: PhysicalParams
-) -> KickStrength:
-    """KickStrength for a square pulse of depth v0 (J) and duration tau_p (s).
-
-    tau_p = 0 is allowed and gives phi_d = 0 (useful as a degenerate limit);
-    non-positive depths and negative durations are rejected.
-    """
-    if v0 <= 0.0 or not math.isfinite(v0):
-        raise ValueError(f"v0 must be positive and finite, got {v0!r}")
-    if tau_p < 0.0 or not math.isfinite(tau_p):
-        raise ValueError(f"tau_p must be >= 0 and finite, got {tau_p!r}")
-    phi_d = v0 * tau_p / (2.0 * HBAR)
-    return KickStrength(phi_d=phi_d, v0=v0, tau_p=tau_p, gamma=gamma_from_v0(v0, params))
-
-
 def gamma_from_v0(v0: float, params: PhysicalParams) -> float:
     """Dimensionless depth gamma = mass*V0/(hbar*kappa)^2."""
     return params.mass * v0 / (HBAR * params.kappa) ** 2
@@ -136,9 +104,3 @@ def v0_from_gamma(gamma: float, params: PhysicalParams) -> float:
         raise ValueError(f"gamma must be >= 0 and finite, got {gamma!r}")
     return gamma * (HBAR * params.kappa) ** 2 / params.mass
 
-
-def kick_strength_from_gamma(
-    gamma: float, tau_p: float, params: PhysicalParams
-) -> KickStrength:
-    """KickStrength for a pulse specified by gamma and duration tau_p (s)."""
-    return kick_strength_from_pulse(v0_from_gamma(gamma, params), tau_p, params)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import numbers
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +36,7 @@ from .finite_pulse import FinitePulseSpec, finite_return_amplitudes
 from .ladder import (
     SequenceSpec,
     WavepacketSpec,
+    _check_n_kicks,
     resonant_return_amplitudes,
     return_amplitudes,
 )
@@ -54,9 +54,11 @@ OUTPUT_RANGE_TOL = 1e-9
 TAU_RESOLUTION = 1e-3
 
 # Domain of the pulse-duration search: the pulse must fit inside the
-# period with free flight remaining.
+# period with free flight remaining.  Its geometric coarse grid has
+# TAU_COARSE_POINTS durations.
 TAU_DOMAIN_LO_FRACTION = 1.0 / 4096.0
 TAU_DOMAIN_HI_FRACTION = 0.5
+TAU_COARSE_POINTS = 18
 
 # Golden-section step of Brent's method, as a fraction of the larger side
 # of the bracket: 1 - 1/phi.
@@ -65,6 +67,16 @@ _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 # Stop rule of the coarse pulse-duration walk (see _walk_until_turned).
 TAU_TURN_POINTS = 2
 TAU_SETTLED_DESCENT = 3
+
+# Stability of the Gaussian acceleration curve: gaussian_accel_curve
+# doubles its grid density from 8 until the curve moves by at most
+# ACCEL_CURVE_TOL of its maximum, up to ACCEL_MAX_DENSITY (at least 16, so
+# that two grids are compared).
+ACCEL_CURVE_TOL = 1e-3
+ACCEL_MAX_DENSITY = 64.0
+
+# Timing samples of the dense scan of measure_peak_shift.
+PEAK_SHIFT_POINTS = 301
 
 
 @dataclass(frozen=True)
@@ -448,8 +460,6 @@ def gaussian_accel_curve(
     accels: np.ndarray,
     wavepacket: WavepacketSpec,
     params: PhysicalParams,
-    tol: float = 1e-3,
-    max_density: float = 64.0,
 ) -> np.ndarray:
     """Gaussian-wavepacket output at each acceleration, at resonance period.
 
@@ -458,19 +468,16 @@ def gaussian_accel_curve(
     average of the fiber return amplitudes (the wavepacket return
     probability, as in gaussian_output), evaluated on a spike-resolving
     quadrature grid whose density is doubled until the curve is stable
-    to tol (relative to its maximum).  At the resonance period every
+    to ACCEL_CURVE_TOL (relative to its maximum); past ACCEL_MAX_DENSITY
+    it raises ConvergenceError.  At the resonance period every
     fiber's return amplitude has the closed form of
     resonant_return_amplitudes, so a whole grid costs O(N) operations per
     (beta, accel) node and no ladder is run.
     """
-    if max_density < 16.0:
-        raise ValueError(
-            f"max_density must be at least 16 (two grids to compare), got {max_density!r}"
-        )
     accels = np.atleast_1d(np.asarray(accels, dtype=np.float64))
     density = 8.0
     prev = None
-    while density <= max_density:
+    while density <= ACCEL_MAX_DENSITY:
         betas, weights = _beta_average_nodes(
             n_kicks, phi_d, wavepacket, params, density
         )
@@ -480,12 +487,13 @@ def gaussian_accel_curve(
         vals = np.abs(amps @ weights) ** 2
         if prev is not None:
             drift = float(np.max(np.abs(vals - prev)))
-            if drift <= tol * max(float(vals.max()), 1e-12):
+            if drift <= ACCEL_CURVE_TOL * max(float(vals.max()), 1e-12):
                 return vals
         prev = vals
         density *= 2.0
     raise ConvergenceError(
-        f"ensemble average not stable to {tol:g} at grid density {max_density:g}",
+        f"ensemble average not stable to {ACCEL_CURVE_TOL:g} at grid density "
+        f"{ACCEL_MAX_DENSITY:g}",
         achieved=drift / max(float(vals.max()), 1e-12),
     )
 
@@ -497,7 +505,6 @@ def gaussian_accel_scan(
     params: PhysicalParams,
     window: tuple[float, float] | None = None,
     n_points: int = 65,
-    tol: float = 1e-3,
 ) -> ScanCurve:
     """Acceleration scan of the Gaussian-wavepacket output.
 
@@ -510,6 +517,10 @@ def gaussian_accel_scan(
     `scan` (_measure_peak), which keeps the window symmetric: it widens
     threefold while the peak is unbracketed, and the default window of
     two plane-wave widths on each side zooms onto a narrow peak.
+
+    The n_points // 2 + 1 nonnegative samples are mirrored about the one
+    at zero, so the curve has an odd count of 2 * (n_points // 2) + 1
+    samples: n_points when it is odd, n_points + 1 when it is even.
     """
     if n_points < 32:
         raise ValueError(f"n_points must be at least 32, got {n_points}")
@@ -527,7 +538,7 @@ def gaussian_accel_scan(
     def sample(lo: float, hi: float) -> ScanCurve:
         # The window loop keeps the window symmetric, so lo == -hi.
         pos = np.linspace(0.0, hi, n_points // 2 + 1)
-        vals = gaussian_accel_curve(n_kicks, phi_d, pos, wavepacket, params, tol)
+        vals = gaussian_accel_curve(n_kicks, phi_d, pos, wavepacket, params)
         return ScanCurve(
             np.concatenate([-pos[:0:-1], pos]), np.concatenate([vals[:0:-1], vals])
         )
@@ -661,7 +672,6 @@ def find_tau_min(
     n_pulses: int,
     gamma: float,
     params: PhysicalParams,
-    coarse_points: int = 18,
 ) -> tuple[float, float]:
     """Pulse duration minimizing the timing-scan width at fixed area rate.
 
@@ -669,8 +679,8 @@ def find_tau_min(
     the pulse area then grows linearly with tau_p, so short pulses give
     weak kicks (wide timing peaks) and long pulses accumulate motion
     during the pulse (also widening the peak).  The interior minimum of
-    width against duration is located on a geometric coarse grid over
-    (T_T/4096, T_T/2] and refined by Brent's method (parabolic
+    width against duration is located on a geometric coarse grid of
+    TAU_COARSE_POINTS durations over (T_T/4096, T_T/2] and refined by Brent's method (parabolic
     interpolation with golden-section fallback) in log tau to a relative
     resolution of TAU_RESOLUTION = 1e-3.
 
@@ -695,20 +705,14 @@ def find_tau_min(
     Raises
     ------
     ValueError
-        If n_pulses or coarse_points is not an integer (bools included),
-        coarse_points < 16, or gamma * n_pulses <= 1.
+        If n_pulses is not a positive integer (bools excluded), or
+        gamma * n_pulses <= 1.
     NoInteriorMinimumError
         If no walked duration has a measurable peak, or the smallest
         walked width sits on the domain edge: on the first duration, or
         on the last one of a walk that never turned.
     """
-    for name, value in (("n_pulses", n_pulses), ("coarse_points", coarse_points)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n_pulses < 1:
-        raise ValueError(f"n_pulses must be a positive integer, got {n_pulses!r}")
-    if coarse_points < 16:
-        raise ValueError(f"need at least 16 coarse points, got {coarse_points}")
+    _check_n_kicks(n_pulses, "n_pulses")
     if gamma * n_pulses <= 1.0:
         raise ValueError(
             f"width minimum requires gamma * n_pulses > 1, got "
@@ -733,7 +737,7 @@ def find_tau_min(
     taus = np.geomspace(
         TAU_DOMAIN_LO_FRACTION * center,
         TAU_DOMAIN_HI_FRACTION * center,
-        coarse_points,
+        TAU_COARSE_POINTS,
     )
     widths = _walk_until_turned(width, taus)
     walked = len(widths)
@@ -744,7 +748,7 @@ def find_tau_min(
             "find_tau_min(n_pulses=%d, gamma=%g): walked %d of %d durations, "
             "coarse argmin %d (tau = %.6g s), %d refinement evaluations "
             "(%d parabolic, %d golden)",
-            n_pulses, gamma, walked, coarse_points, i_min, taus[i_min],
+            n_pulses, gamma, walked, taus.size, i_min, taus[i_min],
             parabolic + golden, parabolic, golden,
         )
 
@@ -760,7 +764,7 @@ def find_tau_min(
         raise NoInteriorMinimumError(
             f"smallest width at the {edge}-pulse edge of the duration domain "
             f"(tau = {taus[i_min]:.6g} s) after walking {walked} of "
-            f"{coarse_points} durations"
+            f"{taus.size} durations"
         )
 
     steps = _brent_log_min(
@@ -822,16 +826,15 @@ def measure_peak_shift(
     tau_p: float,
     multiple_l: int,
     params: PhysicalParams,
-    n_points: int = 301,
 ) -> float:
     """Offset of the timing peak from the l-th resonance multiple.
 
     Finite pulses shift the echo peak slightly off the exact resonance
     period.  The shift is measured by a dense timing scan of +-0.75
-    widths around l * T_T with a least-squares parabola through the
-    samples within +-0.3 widths of the maximum.  The fit window is chosen
-    by index, round(0.2 * (n_points - 1)) samples on each side clipped to
-    the grid, so rounding of the width cannot add or drop an edge sample.
+    widths around l * T_T (PEAK_SHIFT_POINTS samples) with a least-squares
+    parabola through the samples within +-0.3 widths of the maximum.  The
+    fit window is chosen by index, round(0.2 * (PEAK_SHIFT_POINTS - 1))
+    samples on each side clipped to the grid, so rounding of the width cannot add or drop an edge sample.
 
     The scan grid of offsets is always derived from the measured width
     at l = 1, so calls with different l sample identical offsets around
@@ -852,7 +855,7 @@ def measure_peak_shift(
 
     center = multiple_l * t_t
     spec = FinitePulseSpec(n_pulses=n_pulses, v0=v0, tau_p=tau_p, period=center)
-    offsets = np.linspace(-0.75 * w_ref, 0.75 * w_ref, n_points)
+    offsets = np.linspace(-0.75 * w_ref, 0.75 * w_ref, PEAK_SHIFT_POINTS)
     output = _outputs(spec, params, "eps", offsets)
 
     i_max = int(np.argmax(output))
@@ -860,8 +863,8 @@ def measure_peak_shift(
         raise PeakNotBracketedError(
             f"timing peak near {multiple_l} * T_T lies outside the scan window"
         )
-    half = round(0.2 * (n_points - 1))
-    sel = slice(max(i_max - half, 0), min(i_max + half + 1, n_points))
+    half = round(0.2 * (PEAK_SHIFT_POINTS - 1))
+    sel = slice(max(i_max - half, 0), min(i_max + half + 1, PEAK_SHIFT_POINTS))
     a, b, _ = np.polyfit(offsets[sel] - offsets[i_max], output[sel], 2)
     if a >= 0.0:
         raise PeakNotBracketedError(

@@ -16,6 +16,7 @@ the finite-pulse peak shift.
 
 import numpy as np
 import pytest
+from oracles import apply_finite_pulse, splitstep_fiber
 from test_analytic import _fd_phase_slopes, _significant_q
 from test_ladder import _grid_kick, _random_state
 
@@ -30,12 +31,7 @@ from kickecho.analytic import (
     output_first_order,
     p0_phase_slopes,
 )
-from kickecho.finite_pulse import (
-    FinitePulseSpec,
-    apply_finite_pulse,
-    run_finite_sequence,
-    splitstep_fiber,
-)
+from kickecho.finite_pulse import FinitePulseSpec, run_finite_sequence
 from kickecho.ladder import (
     SequenceSpec,
     WavepacketSpec,

@@ -218,8 +218,8 @@ def test_consecutive_runs_share_the_parser_not_its_overrides(tmp_path):
     config = json.load(open(sidecar_path(second), encoding="utf-8"))["config"]
     assert config["n_kicks"] == 6
     assert config["eps_ns"] == 0.0
-    assert cli._parser() is cli._parser()
-    assert cli._parser().parse_args(["echo", "--out", first]).overrides == []
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser().parse_args(["echo", "--out", first]).overrides == []
 
 
 def test_duplicate_config_key_rejected(tmp_path):
@@ -431,6 +431,30 @@ def test_gaussian_accel_scan_widens_until_bracketed(tmp_path, capsys):
     assert run_cli(*base, "--set", "n_kicks=300", "--points", "33", "--out", out) == 3
     assert capsys.readouterr().err.startswith("error: engine: secondary maximum")
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("points", [64, 65])
+def test_gaussian_scan_accel_has_an_odd_sample_count(tmp_path, points):
+    """The Gaussian acceleration curve mirrors its nonnegative half about
+    zero, so it has 2 * (points // 2) + 1 rows; the sidecar keeps the
+    requested count."""
+    out = str(tmp_path / "g.csv")
+    argv = ["--set", "n_kicks=10", "--set", "phi_d=0.5", "--set", "sigma_x_um=100"]
+    assert run_cli("scan-accel", *argv, "--points", str(points), "--out", out) == 0
+    _, control, output = _read_columns(out)
+    assert control.size == output.size == 2 * (points // 2) + 1
+    assert json.load(open(sidecar_path(out), encoding="utf-8"))["config"]["points"] == points
+
+
+def test_convergence_failure_exit_code(tmp_path, monkeypatch, capsys):
+    """A quadrature that cannot converge is an engine failure (exit 3)."""
+    monkeypatch.setattr(scans, "ACCEL_MAX_DENSITY", 16.0)
+    monkeypatch.setattr(scans, "ACCEL_CURVE_TOL", 0.0)
+    out = str(tmp_path / "g.csv")
+    argv = ["--set", "n_kicks=10", "--set", "phi_d=0.5", "--set", "sigma_x_um=100"]
+    assert run_cli("scan-accel", *argv, "--points", "33", "--out", out) == 3
+    assert capsys.readouterr().err.startswith("error: engine: ensemble average not stable")
+    assert not os.path.exists(out) and not os.path.exists(sidecar_path(out))
 
 
 def test_weak_timing_scan_fails_as_an_engine_error(tmp_path, capsys):

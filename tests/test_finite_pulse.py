@@ -8,21 +8,24 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import (
+    GridResolutionError,
+    apply_finite_pulse,
+    finite_wavepacket_grid_output,
+    splitstep_fiber,
+    splitstep_output,
+)
 
 from kickecho import finite_pulse
 from kickecho.analytic import fwhm_eps
-from kickecho.errors import GridResolutionError, TruncationError
+from kickecho.errors import TruncationError
 from kickecho.finite_pulse import (
     FinitePulseSpec,
-    apply_finite_pulse,
     auto_q_max_finite,
     finite_gaussian_output,
     finite_return_amplitudes,
-    finite_wavepacket_grid_output,
     pulse_propagator,
     run_finite_sequence,
-    splitstep_fiber,
-    splitstep_output,
 )
 from kickecho.ladder import (
     EDGE_BAND,

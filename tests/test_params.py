@@ -12,14 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kickecho.finite_pulse import FinitePulseSpec
 from kickecho.params import (
     ATOMIC_MASS_KG,
     HBAR,
     RB85_MASS_U,
     derive_params,
     gamma_from_v0,
-    kick_strength_from_gamma,
-    kick_strength_from_pulse,
     rb85_params,
     v0_from_gamma,
 )
@@ -29,6 +28,7 @@ TALBOT_TIME_RB85 = 6.473218593053594e-05  # s
 OMEGA_R_RB85 = 24266.07883256896  # rad/s
 KAPPA_RB85 = 16110731.556870732  # 1/m
 V0_GAMMA_1 = 2.0472258276741988e-29  # J, depth at gamma = 1
+PHI_D_GAMMA_1_1US = 0.09706431533027583  # pulse area at gamma = 1, tau_p = 1 us
 
 
 def test_frozen_rb85_values(params):
@@ -72,32 +72,13 @@ def test_v0_gamma_frozen_value(params):
     assert gamma_from_v0(V0_GAMMA_1, params) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_kick_strength_from_pulse(params):
-    ks = kick_strength_from_pulse(v0=V0_GAMMA_1, tau_p=1e-6, params=params)
-    assert ks.phi_d == pytest.approx(V0_GAMMA_1 * 1e-6 / (2.0 * HBAR), rel=1e-12)
-    assert ks.gamma == pytest.approx(1.0, rel=1e-12)
-    assert ks.v0 == V0_GAMMA_1
-    assert ks.tau_p == 1e-6
-
-
-def test_kick_strength_zero_duration_allowed(params):
-    ks = kick_strength_from_pulse(v0=V0_GAMMA_1, tau_p=0.0, params=params)
-    assert ks.phi_d == 0.0
-
-
-def test_kick_strength_rejects_nonpositive_depth(params):
-    with pytest.raises(ValueError):
-        kick_strength_from_pulse(v0=0.0, tau_p=1e-6, params=params)
-    with pytest.raises(ValueError):
-        kick_strength_from_pulse(v0=-1e-30, tau_p=1e-6, params=params)
-    with pytest.raises(ValueError):
-        kick_strength_from_pulse(v0=V0_GAMMA_1, tau_p=-1e-6, params=params)
-
-
-def test_kick_strength_from_gamma_matches_pulse_route(params):
-    a = kick_strength_from_gamma(10.0, 2e-6, params)
-    b = kick_strength_from_pulse(v0_from_gamma(10.0, params), 2e-6, params)
-    assert a.phi_d == pytest.approx(b.phi_d, rel=1e-14)
+def test_finite_pulse_phi_d_frozen_value(params):
+    """FinitePulseSpec.phi_d is the one pulse-area formula V0*tau_p/(2*hbar)."""
+    spec = FinitePulseSpec(4, V0_GAMMA_1, 1e-6, params.talbot_time)
+    assert spec.phi_d == pytest.approx(PHI_D_GAMMA_1_1US, rel=1e-12)
+    assert spec.phi_d == pytest.approx(V0_GAMMA_1 * 1e-6 / (2.0 * HBAR), rel=1e-12)
+    assert spec.gamma(params) == pytest.approx(1.0, rel=1e-12)
+    assert FinitePulseSpec(4, V0_GAMMA_1, 0.0, params.talbot_time).phi_d == 0.0
 
 
 @given(gamma=st.floats(min_value=1e-3, max_value=1e3))

@@ -12,19 +12,26 @@ from scipy import special
 
 from kickecho.analytic import X_HALF, fwhm_accel, fwhm_eps, fwhm_p0
 from kickecho.errors import (
+    ConvergenceError,
     InsufficientSpanError,
     MultimodalPeakError,
     NoInteriorMinimumError,
     PeakNotBracketedError,
 )
-from kickecho import scans
-from kickecho.finite_pulse import FinitePulseSpec
+from kickecho import ladder, scans
+from kickecho.finite_pulse import (
+    FinitePulseSpec,
+    finite_gaussian_output,
+    finite_return_amplitudes,
+    run_finite_sequence,
+)
 from kickecho.ladder import (
     SequenceSpec,
     WavepacketSpec,
     auto_q_max,
     batched_return_amplitudes,
     gaussian_output,
+    momentum_history,
     resonant_return_amplitudes,
     run_sequence,
 )
@@ -295,14 +302,56 @@ def test_scan_argument_validation(params):
         scan("eps", spec, params, window=(1.0, 1.0))
     with pytest.raises(ValueError):
         scan("sideways", spec, params)
-    # Caps that stop before a second quadrature rule could never converge.
+
+
+# Every entry point that takes a kick or pulse count, as a function of it.
+_COUNTED = {
+    "SequenceSpec": lambda n, p: SequenceSpec(n, 0.5, p.talbot_time),
+    "run_sequence": lambda n, p: run_sequence(SequenceSpec(n, 0.5, p.talbot_time), 0.0, p),
+    "momentum_history": lambda n, p: momentum_history(
+        SequenceSpec(n, 0.5, p.talbot_time), 0.0, p
+    ),
+    "FinitePulseSpec": lambda n, p: FinitePulseSpec(n, 1e-29, 1e-6, p.talbot_time),
+    "run_finite_sequence": lambda n, p: run_finite_sequence(
+        FinitePulseSpec(n, 1e-29, 1e-6, p.talbot_time), 0.0, p
+    ),
+    "finite_return_amplitudes": lambda n, p: finite_return_amplitudes(
+        n, 1e-29, 1e-6, p.talbot_time, 0.0, p
+    ),
+    "finite scan": lambda n, p: scan(
+        "eps", FinitePulseSpec(n, v0_from_gamma(10.0, p), 1e-6, p.talbot_time), p
+    ),
+}
+
+
+@pytest.mark.parametrize("count", [2.0, True, 0, -1], ids=repr)
+@pytest.mark.parametrize("entry", sorted(_COUNTED))
+def test_counts_fail_closed(params, entry, count):
+    """A count that is not a positive integer is a ValueError where it
+    enters, never a TypeError deep in a loop, and True is not one kick."""
+    with pytest.raises(ValueError, match="n_kicks|n_pulses"):
+        _COUNTED[entry](count, params)
+
+
+def test_quadrature_caps_raise_convergence_error(params, monkeypatch):
+    """With the caps at their least (two rules or grids to compare) and a
+    tolerance no rule meets, each adaptive average raises ConvergenceError
+    with a finite achieved tolerance."""
+    monkeypatch.setattr(ladder, "MAX_FIBER_NODES", 65)
+    monkeypatch.setattr(scans, "ACCEL_MAX_DENSITY", 16.0)
+    monkeypatch.setattr(scans, "ACCEL_CURVE_TOL", 0.0)
     wp = WavepacketSpec(sigma_x=1e-4)
-    for max_nodes in (10, 33, 64):
-        with pytest.raises(ValueError, match="max_nodes"):
-            gaussian_output(spec, wp, params, max_nodes=max_nodes)
-    for max_density in (4.0, 8.0, 15.9):
-        with pytest.raises(ValueError, match="max_density"):
-            gaussian_accel_curve(10, 0.5, [0.0], wp, params, max_density=max_density)
+    seq = SequenceSpec(10, 0.5, params.talbot_time)
+    finite = FinitePulseSpec(4, v0_from_gamma(10.0, params), 1e-6, params.talbot_time)
+    accels = np.linspace(0.0, 2.0 * fwhm_accel(10, 0.5, params), 3)
+    for run in (
+        lambda: gaussian_output(seq, wp, params, tol=0.0),
+        lambda: finite_gaussian_output(finite, wp, params, tol=0.0),
+        lambda: gaussian_accel_curve(10, 0.5, accels, wp, params),
+    ):
+        with pytest.raises(ConvergenceError) as err:
+            run()
+        assert math.isfinite(err.value.achieved)
 
 
 def test_fit_scaling_recovers_exact_power_law():
@@ -334,9 +383,11 @@ def test_fit_scaling_span_requirements():
             fit_scaling([(8.0, 1.0), (16.0, 0.5), (32.0, 0.25), (bad, 0.1)])
 
 
-def test_find_tau_min_is_coarse_grid_independent(params):
-    a_tau, a_w = find_tau_min(4, 10.0, params, coarse_points=16)
-    b_tau, b_w = find_tau_min(4, 10.0, params, coarse_points=24)
+def test_find_tau_min_is_coarse_grid_independent(params, monkeypatch):
+    monkeypatch.setattr(scans, "TAU_COARSE_POINTS", 16)
+    a_tau, a_w = find_tau_min(4, 10.0, params)
+    monkeypatch.setattr(scans, "TAU_COARSE_POINTS", 24)
+    b_tau, b_w = find_tau_min(4, 10.0, params)
     assert a_tau == pytest.approx(b_tau, rel=2e-3)
     assert a_w == pytest.approx(b_w, rel=1e-5)
     assert 0.0 < a_tau < 0.5 * params.talbot_time
@@ -346,11 +397,6 @@ def test_find_tau_min_is_coarse_grid_independent(params):
 def test_find_tau_min_validation(params):
     with pytest.raises(ValueError):
         find_tau_min(2, 0.4, params)  # gamma * n_pulses <= 1
-    with pytest.raises(ValueError):
-        find_tau_min(4, 10.0, params, coarse_points=8)
-    for bad in (16.5, 18.0, True, "18"):
-        with pytest.raises(ValueError, match="coarse_points"):
-            find_tau_min(4, 10.0, params, coarse_points=bad)
     for bad in (True, 4.0, 0, -3):
         with pytest.raises(ValueError, match="n_pulses"):
             find_tau_min(bad, 10.0, params)
