@@ -63,6 +63,7 @@ from .ladder import (
     _flat_columns,
     _fold_sum,
     _free_phase,
+    _hermite_rules,
     auto_q_max,
     ground_state,
 )
@@ -241,10 +242,8 @@ def _two_train_run(
 ) -> tuple[LadderState, float]:
     state = ground_state(beta, q_max)
     qs = state.q_values
-    free_phase = np.exp(
-        -2j * math.pi * ((spec.period - spec.tau_p) / params.talbot_time)
-        * (qs + beta) ** 2
-    )
+    flight = np.array([spec.period - spec.tau_p])
+    free_phase = _free_phase(qs, flight, np.array([beta]), params)[:, 0]
     amps = state.amps
     for sign in (+1, -1):
         # A pulse of zero duration is the identity.
@@ -363,12 +362,11 @@ def finite_gaussian_output(
     c_0(beta) = c_0(-beta), and only the nodes with beta >= 0 are run
     (_fiber_average).
     """
-    return _fiber_average(
+    return float(_fiber_average(
         lambda betas: finite_return_amplitudes(
             spec.n_pulses, spec.v0, spec.tau_p, spec.period, betas, params
         ),
-        wavepacket,
-        params,
+        _hermite_rules(wavepacket, params),
         tol,
         even=True,
-    )
+    ))

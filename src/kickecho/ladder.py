@@ -51,9 +51,9 @@ keeps that echo as an operation that must exit 3, so gaussian_output
 stays on two trains until the fiber quadrature and that operation
 change together.  It uses parity across fibers instead: at zero
 acceleration c_0(beta) = c_0(-beta) on the truncated ladder, so
-_fiber_average runs only the Gauss-Hermite nodes with beta >= 0 and
-mirrors them, for this echo and for finite_pulse.finite_gaussian_output
-alike.
+_fiber_average, the one convergence loop of every wavepacket average,
+runs only the Gauss-Hermite nodes with beta >= 0 and mirrors them, for
+this echo and for finite_pulse.finite_gaussian_output alike.
 
 Resonant fibers.  At the period T = T_T the flight of period n is
 linear in the rung, F_n(q) = F_n(0) r_n^q with |r_n| = 1, a translation
@@ -98,7 +98,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import partial
 
@@ -159,7 +159,7 @@ BLOCK_ENTRIES = 32768
 # large.
 HISTORY_BLOCK_CELLS = 4096
 
-# Node cap of the Gauss-Hermite fiber average (_fiber_average): the rule
+# Node cap of the Gauss-Hermite fiber rules (_hermite_rules): the rule
 # doubles from 33 nodes (2n - 1) up to this count, at least 65 so that two
 # rules are compared.
 MAX_FIBER_NODES = 4097
@@ -951,7 +951,6 @@ def gaussian_output(
     wavepacket: WavepacketSpec,
     params: PhysicalParams,
     tol: float = 1e-4,
-    q_max: int | None = None,
 ) -> float:
     """Return probability of a Gaussian wavepacket through the sequence.
 
@@ -960,58 +959,65 @@ def gaussian_output(
     independently (Bloch decomposition).  The output is the squared
     coherent average of the fiber return amplitudes,
     I = |integral dbeta w(beta) c_0(beta)|^2, the overlap probability
-    between the final and initial wavepackets.  Gauss-Hermite quadrature
-    over the momentum density; the node count is doubled until the
-    result changes by less than tol (relative), starting from 33 nodes.
-    Without acceleration parity gives c_0(beta) = c_0(-beta), so only the
-    nodes with beta >= 0 are run (_fiber_average).
+    between the final and initial wavepackets, over the Gauss-Hermite
+    rules of _hermite_rules (_fiber_average).  Without acceleration parity
+    gives c_0(beta) = c_0(-beta), so only the nodes with beta >= 0 are run.
     """
-    return _fiber_average(
+    return float(_fiber_average(
         lambda betas: batched_return_amplitudes(
-            seq.n_kicks, seq.phi_d, seq.period, betas, seq.accel, params, q_max
+            seq.n_kicks, seq.phi_d, seq.period, betas, seq.accel, params
         ),
-        wavepacket,
-        params,
+        _hermite_rules(wavepacket, params),
         tol,
         even=seq.accel == 0.0,
-    )
+    ))
+
+
+def _hermite_rules(wavepacket: WavepacketSpec, params: PhysicalParams):
+    """Gauss-Hermite rules of 33, 65, ... (2n - 1) up to MAX_FIBER_NODES nodes."""
+    n = 33
+    while n <= MAX_FIBER_NODES:
+        yield gaussian_beta_nodes(wavepacket, params, n)
+        n = 2 * n - 1
 
 
 def _fiber_average(
     amplitudes: Callable[[np.ndarray], np.ndarray],
-    wavepacket: WavepacketSpec,
-    params: PhysicalParams,
+    rules: Iterable[tuple[np.ndarray, np.ndarray]],
     tol: float,
     even: bool = False,
-) -> float:
-    """|sum_j w_j c_0(beta_j)|^2 over Gauss-Hermite nodes of the wavepacket.
+) -> np.ndarray:
+    """|amplitudes(betas) @ weights|^2 on the first of successive rules that
+    agrees with the one before.
 
-    amplitudes maps the node betas to the fiber return amplitudes.  The
-    node count starts at 33 and is doubled (2n - 1, so the count stays
-    odd) until the result changes by less than tol (relative), up to
-    MAX_FIBER_NODES; past that it raises ConvergenceError.
+    rules yields (betas, weights) quadrature rules of a wavepacket, each
+    finer than the last; amplitudes maps betas to fiber return amplitudes,
+    fibers on the last axis.  The result is returned once two successive
+    ones differ by at most tol times the later one's maximum (or 1e-12);
+    when the rules run out first it raises ConvergenceError.
 
     With even set, the caller asserts c_0(beta) = c_0(-beta) (parity, at
-    zero acceleration).  The rules have an odd node count and
-    mirror-symmetric nodes, so amplitudes then gets only the nodes with
-    beta >= 0, from the middle node beta = 0 on, and their amplitudes
-    are mirrored onto the rest.
+    zero acceleration) and rules of odd size with mirror-symmetric nodes.
+    amplitudes then gets only the nodes with beta >= 0, from the middle
+    node beta = 0 on, and their amplitudes are mirrored onto the rest.
     """
-    prev = None
-    n = 33
-    while n <= MAX_FIBER_NODES:
-        betas, weights = gaussian_beta_nodes(wavepacket, params, n)
+    prev, achieved = None, math.inf
+    for betas, weights in rules:
         if even:
-            half = amplitudes(betas[n // 2 :])
-            amps = np.concatenate([half[:0:-1], half])
+            half = amplitudes(betas[betas.size // 2 :])
+            amps = np.concatenate([half[..., :0:-1], half], axis=-1)
         else:
             amps = amplitudes(betas)
-        val = float(np.abs(np.dot(weights, amps)) ** 2)
-        if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-12):
-            return val
+        val = np.abs(amps @ weights) ** 2
+        if prev is not None:
+            drift = float(np.max(np.abs(val - prev)))
+            scale = max(float(np.max(val)), 1e-12)
+            if drift <= tol * scale:
+                return val
+            achieved = drift / scale
         prev = val
-        n = 2 * n - 1
     raise ConvergenceError(
-        f"fiber quadrature did not converge to {tol:g} within {MAX_FIBER_NODES} nodes",
-        achieved=abs(val - prev) / max(abs(val), 1e-12),
+        f"wavepacket average not stable to {tol:g} on its finest rule of "
+        f"{betas.size} nodes",
+        achieved=achieved,
     )

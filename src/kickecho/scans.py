@@ -26,7 +26,6 @@ import numpy as np
 
 from .analytic import fwhm_accel, fwhm_eps, fwhm_p0
 from .errors import (
-    ConvergenceError,
     InsufficientSpanError,
     MultimodalPeakError,
     NoInteriorMinimumError,
@@ -37,6 +36,7 @@ from .ladder import (
     SequenceSpec,
     WavepacketSpec,
     _check_n_kicks,
+    _fiber_average,
     resonant_return_amplitudes,
     return_amplitudes,
 )
@@ -466,35 +466,27 @@ def gaussian_accel_curve(
     Every quasimomentum fiber starts on its q = 0 rung and runs through
     the sequence independently; the output is the squared coherent
     average of the fiber return amplitudes (the wavepacket return
-    probability, as in gaussian_output), evaluated on a spike-resolving
-    quadrature grid whose density is doubled until the curve is stable
-    to ACCEL_CURVE_TOL (relative to its maximum); past ACCEL_MAX_DENSITY
-    it raises ConvergenceError.  At the resonance period every
+    probability, as in gaussian_output), by ladder._fiber_average over
+    spike-resolving grids (_beta_average_nodes) of density 8 up to
+    ACCEL_MAX_DENSITY, stable to ACCEL_CURVE_TOL of the curve's maximum
+    (else ConvergenceError).  At the resonance period every
     fiber's return amplitude has the closed form of
     resonant_return_amplitudes, so a whole grid costs O(N) operations per
     (beta, accel) node and no ladder is run.
     """
     accels = np.atleast_1d(np.asarray(accels, dtype=np.float64))
-    density = 8.0
-    prev = None
-    while density <= ACCEL_MAX_DENSITY:
-        betas, weights = _beta_average_nodes(
-            n_kicks, phi_d, wavepacket, params, density
-        )
-        amps = resonant_return_amplitudes(
+    def rules():
+        density = 8.0
+        while density <= ACCEL_MAX_DENSITY:
+            yield _beta_average_nodes(n_kicks, phi_d, wavepacket, params, density)
+            density *= 2.0
+
+    return _fiber_average(
+        lambda betas: resonant_return_amplitudes(
             n_kicks, phi_d, betas[None, :], accels[:, None], params
-        )
-        vals = np.abs(amps @ weights) ** 2
-        if prev is not None:
-            drift = float(np.max(np.abs(vals - prev)))
-            if drift <= ACCEL_CURVE_TOL * max(float(vals.max()), 1e-12):
-                return vals
-        prev = vals
-        density *= 2.0
-    raise ConvergenceError(
-        f"ensemble average not stable to {ACCEL_CURVE_TOL:g} at grid density "
-        f"{ACCEL_MAX_DENSITY:g}",
-        achieved=drift / max(float(vals.max()), 1e-12),
+        ),
+        rules(),
+        ACCEL_CURVE_TOL,
     )
 
 

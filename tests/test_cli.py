@@ -406,14 +406,14 @@ def test_finite_scan_measures_what_the_width_search_measures(tmp_path):
 def test_gaussian_accel_scan_widens_until_bracketed(tmp_path, capsys):
     """At N = 100 the wavepacket broadens the acceleration peak past the
     first window, which widens until the peak is bracketed: the curve is
-    gaussian_accel_scan on the final window.  At N = 300 the curve has
-    side maxima above half of its peak (I about 9e-6), so the width is
-    ambiguous and the run exits 3; it takes six windows of about 1.5 s
-    each, so it runs on 33 points, which see the same side maxima as the
+    gaussian_accel_scan on the final window.  At N = 50, phi_d = 2,
+    sigma_x = 10 um the third window shows a side maximum above half of
+    the peak (I about 2.9e-5 against 5.0e-5), so the width is ambiguous
+    and the run exits 3; 33 points see the same side maximum as the
     default 161."""
-    base = ["scan-accel", "--set", "phi_d=1", "--set", "sigma_x_um=100"]
     out = str(tmp_path / "wp100.csv")
-    assert run_cli(*base, "--set", "n_kicks=100", "--out", out) == 0
+    argv = ["--set", "n_kicks=100", "--set", "phi_d=1", "--set", "sigma_x_um=100"]
+    assert run_cli("scan-accel", *argv, "--out", out) == 0
     _, control, output = _read_columns(out)
     side = json.load(open(sidecar_path(out), encoding="utf-8"))
     params = resolve("scan-accel", {"n_kicks": 100, "phi_d": 1.0}).physical_params()
@@ -427,8 +427,9 @@ def test_gaussian_accel_scan_widens_until_bracketed(tmp_path, capsys):
     assert np.array_equal(output, direct.output)
     assert side["metrics"]["fwhm_m_s2"] == direct.fwhm
     capsys.readouterr()
-    out = str(tmp_path / "wp300.csv")
-    assert run_cli(*base, "--set", "n_kicks=300", "--points", "33", "--out", out) == 3
+    out = str(tmp_path / "wp50.csv")
+    argv = ["--set", "n_kicks=50", "--set", "phi_d=2", "--set", "sigma_x_um=10"]
+    assert run_cli("scan-accel", *argv, "--points", "33", "--out", out) == 3
     assert capsys.readouterr().err.startswith("error: engine: secondary maximum")
     assert not os.path.exists(out)
 
@@ -453,7 +454,7 @@ def test_convergence_failure_exit_code(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "g.csv")
     argv = ["--set", "n_kicks=10", "--set", "phi_d=0.5", "--set", "sigma_x_um=100"]
     assert run_cli("scan-accel", *argv, "--points", "33", "--out", out) == 3
-    assert capsys.readouterr().err.startswith("error: engine: ensemble average not stable")
+    assert capsys.readouterr().err.startswith("error: engine: wavepacket average not stable")
     assert not os.path.exists(out) and not os.path.exists(sidecar_path(out))
 
 

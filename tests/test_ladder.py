@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from oracles import delta_wavepacket_grid_output
 
 from kickecho import ladder, scans
-from kickecho.errors import TruncationError
+from kickecho.errors import ConvergenceError, TruncationError
 from kickecho.ladder import (
     EDGE_BAND,
     LadderState,
@@ -777,6 +777,74 @@ def test_gaussian_echo_keeps_its_edge_failure_on_half_the_nodes(params, monkeypa
         "rerun with a wider ladder"
     )
     assert seen and all(np.all(b >= 0.0) for b in seen)
+
+
+def _scaled_rules(totals, taken):
+    """Five-node rules whose weights sum to each of totals in turn; taken
+    records the rules the loop draws."""
+    for total in totals:
+        taken.append(total)
+        yield np.linspace(-1.0, 1.0, 5), np.full(5, total / 5.0)
+
+
+def _unit_phase(betas):
+    return np.full(betas.size, np.exp(0.3j))
+
+
+def test_fiber_average_stops_at_the_first_agreeing_pair():
+    """The loop returns the result of the first rule that agrees with the
+    one before to tol (relative), and draws no further rule."""
+    taken = []
+    totals = [1.0, 0.9, 0.9 + 1e-5, 0.5, 0.5]
+    val = ladder._fiber_average(_unit_phase, _scaled_rules(totals, taken), 1e-3)
+    assert taken == totals[:3]
+    assert val == pytest.approx((0.9 + 1e-5) ** 2, rel=1e-12)
+
+
+def test_fiber_average_even_mirrors_a_symmetric_rule():
+    """With even set, amplitudes sees only the nodes from beta = 0 on, and
+    the mirrored average equals running every node."""
+    betas = np.linspace(-2.0, 2.0, 9)
+    weights = np.exp(-0.5 * betas**2)
+    weights /= weights.sum()
+    seen = []
+
+    def amplitudes(b):
+        seen.append(b)
+        return np.exp(1j * b**2) * np.cos(b)
+
+    full = ladder._fiber_average(amplitudes, [(betas, weights)] * 2, 1e-12)
+    seen.clear()
+    half = ladder._fiber_average(amplitudes, [(betas, weights)] * 2, 1e-12, even=True)
+    assert all(np.array_equal(b, betas[4:]) for b in seen) and len(seen) == 2
+    assert half == full
+
+
+def test_fiber_average_reduces_along_the_last_axis():
+    """Amplitudes of shape (curve points, nodes), as the acceleration curve
+    passes, give one average per curve point."""
+    betas = np.linspace(-1.0, 1.0, 7)
+    weights = np.full(7, 1.0 / 7.0)
+    scale = np.array([1.0, 0.5, 0.25])
+
+    def amplitudes(b):
+        return scale[:, None] * np.exp(1j * b)[None, :]
+
+    val = ladder._fiber_average(amplitudes, [(betas, weights)] * 2, 1e-12)
+    assert val.shape == (3,)
+    np.testing.assert_allclose(val, np.abs(amplitudes(betas) @ weights) ** 2, rtol=1e-15)
+
+
+def test_fiber_average_raises_when_the_rules_run_out():
+    """No two successive results agree: ConvergenceError names the tolerance
+    and the finest rule, with a finite achieved tolerance."""
+    rules = _scaled_rules([1.0, 0.9, 0.8], [])
+    with pytest.raises(ConvergenceError) as err:
+        ladder._fiber_average(_unit_phase, rules, 1e-6)
+    assert str(err.value) == (
+        "wavepacket average not stable to 1e-06 on its finest rule of 5 nodes"
+    )
+    assert err.value.achieved == pytest.approx((0.81 - 0.64) / 0.64)
 
 
 MAX_NODES = ladder.MAX_FIBER_NODES
