@@ -51,10 +51,8 @@ import numpy as np
 
 from .errors import TruncationError
 from .ladder import (
-    EDGE_BAND,
     LadderState,
     WavepacketSpec,
-    _check_edge_population,
     _check_edges,
     _check_n_kicks,
     _check_norms,
@@ -79,14 +77,13 @@ class FinitePulseSpec:
     n_pulses pulses of depth v0 (J) and duration tau_p with standing-wave
     sign +1, then n_pulses with sign -1; every pulse is followed by a free
     flight of period - tau_p.  Acceleration is out of scope for finite
-    pulses and must stay zero.
+    pulses.
     """
 
     n_pulses: int
     v0: float
     tau_p: float
     period: float
-    accel: float = 0.0
 
     def __post_init__(self):
         _check_n_kicks(self.n_pulses, "n_pulses")
@@ -98,8 +95,6 @@ class FinitePulseSpec:
             raise ValueError(
                 f"tau_p must satisfy 0 <= tau_p <= period, got {self.tau_p!r}"
             )
-        if self.accel != 0.0:
-            raise ValueError("finite-pulse sequences support zero acceleration only")
 
     @property
     def phi_d(self) -> float:
@@ -314,35 +309,24 @@ def _folded_echo(
 ) -> np.ndarray:
     """Return amplitudes of one beta fiber from its forward train alone.
 
-    The pulse loop allocates no arrays: each product goes into the spare
-    buffer, and the edge gate reads the outer EDGE_BAND rows as slices.
+    Each pulse product goes into the spare buffer.  The edge gate reads
+    both ends of the full ladder and the top end of the even sector, where
+    an amplitude a_q = sqrt(2) c_q stands for the rungs +q and -q, so it
+    gates |a_q|^2 / 2 (q = 0 is never in the band, as q_max > EDGE_BAND).
     """
     even = beta == 0.0
     i0 = 0 if even else q_max
     qs = np.arange(-i0, q_max + 1)
-    # Edge rows q_max - EDGE_BAND < |q| <= q_max: both ends of the full
-    # ladder, the top end of the even sector.  There q = 0 is never in the
-    # band (q_max > EDGE_BAND), and an amplitude a_q stands for the rungs
-    # +q and -q, |a_q|^2/2 each.  Rounding is monotone, so the gate value
-    # weight * (max |a|)^2 is exactly the largest rung population.
-    ends = (slice(-EDGE_BAND, None),) if even else (
-        slice(None, EDGE_BAND), slice(-EDGE_BAND, None)
-    )
-    weight = 0.5 if even else 1.0
     free = _free_phase(qs, periods - spec.tau_p, np.array([beta]), params)
     u = pulse_propagator(spec, beta, q_max, +1, params, even) if spec.tau_p > 0.0 else None
     amps = np.zeros((qs.size, periods.size), dtype=np.complex128)
     amps[i0, :] = 1.0
     spare = np.empty_like(amps)
-    band = np.empty((len(ends), EDGE_BAND, periods.size))
     for _ in range(spec.n_pulses):
         if u is not None:
             np.matmul(u, amps, out=spare)
             amps, spare = spare, amps
-        for end, out in zip(ends, band):
-            np.abs(amps[end], out=out)
-        top = float(band.max())
-        _check_edge_population(weight * (top * top), q_max)
+        _check_edges(amps, q_max, even, weight=0.5 if even else 1.0)
         amps *= free
     _check_norms(amps, "in the batched finite-pulse run")
     return _fold_sum(amps, free, np.where(qs % 2 == 0, 1.0, -1.0), i0)

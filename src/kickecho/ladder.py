@@ -315,17 +315,20 @@ def _convolve_kick(amps: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_edges(amps: np.ndarray, q_max: int) -> None:
-    """Edge gate on the outer EDGE_BAND rungs at both ends of the ladder."""
-    lo = np.abs(amps[:EDGE_BAND]).max() ** 2
-    hi = np.abs(amps[-EDGE_BAND:]).max() ** 2
-    if not (lo <= EDGE_TOL and hi <= EDGE_TOL):
-        _check_edge_population(float(np.maximum(lo, hi)), q_max)
+def _check_edges(amps: np.ndarray, q_max: int, even: bool = False, weight: float = 1.0) -> None:
+    """Edge gate of every engine: raise TruncationError unless the worst
+    rung population of the outer EDGE_BAND rows of amps (rows, columns...)
+    is within EDGE_TOL; written so that NaN fails it.
 
-
-def _check_edge_population(worst: float, q_max: int) -> None:
-    """Raise TruncationError unless the worst edge-band rung population is
-    within EDGE_TOL; written so that NaN fails the gate."""
+    The top rows are read, and the bottom ones too unless even (an
+    even-sector block, whose bottom rows are q = 0 or its mirror).  A
+    row's amplitude a stands for a rung population weight * |a|^2.
+    Rounding is monotone, so weight * (max |a|)^2 is exactly the largest.
+    """
+    worst = np.abs(amps[-EDGE_BAND:]).max()
+    if not even:
+        worst = np.maximum(worst, np.abs(amps[:EDGE_BAND]).max())
+    worst = weight * float(worst * worst)
     if not (worst <= EDGE_TOL):
         raise TruncationError(
             f"edge-band population {worst:.3e} exceeds {EDGE_TOL:.0e} on ladder "
@@ -450,9 +453,10 @@ def _kick_columns(amps: np.ndarray, slabs, phase: np.ndarray, step=None, hook=No
 
     Each period kicks the block, calls hook on the kicked block (a gate, a
     mirror or a record), then multiplies it by the free-flight phase.
-    With step given, phase is multiplied by step after every period (a
-    running multiplier, overwritten); otherwise it is the same in every
-    period.  Returns the final amplitudes, a view into a work buffer.
+    With step given, the phase is multiplied by step after every period (a
+    running multiplier); otherwise it is the same in every period.  Both
+    are copied to the buffer width, so the flight multiplies whole rows.
+    Returns the final amplitudes, a view into a work buffer.
 
     The block lives in two buffers with D zero rows above and below the
     ladder, D the kernel half-width, and its columns zero-padded to whole
@@ -464,15 +468,19 @@ def _kick_columns(amps: np.ndarray, slabs, phase: np.ndarray, step=None, hook=No
     """
     sites, m = amps.shape
     half = (slabs[0].shape[1] - KICK_ROWS) // 2
-    bufs = [
-        np.zeros((sites + 2 * half, -(-m // KICK_TILE) * KICK_TILE), dtype=np.complex128)
-        for _ in range(2)
-    ]
+    pad = -m % KICK_TILE
+    bufs = [np.zeros((sites + 2 * half, m + pad), dtype=np.complex128) for _ in range(2)]
     bufs[0][half : half + sites, :m] = amps
     # The products of a kick from bufs[0] into bufs[1], and of one back.
     products = [_row_block_products(*pair, half, sites) for pair in (bufs, bufs[::-1])]
     views = [b[half : half + sites, :m] for b in bufs]
-    reals = [b[half : half + sites].view(np.float64) for b in bufs]
+    rows = [b[half : half + sites] for b in bufs]
+    reals = [r.view(np.float64) for r in rows]
+    # A zero phase and a unit step keep the padding columns zero.
+    widen = ((0, 0), (0, pad))
+    phase = np.pad(np.broadcast_to(phase, (sites, m)), widen)
+    if step is not None:
+        step = np.pad(np.broadcast_to(step, (sites, m)), widen, constant_values=1.0)
     magnitude = np.empty(reals[0].shape)
     tail = np.empty(reals[0].shape, dtype=bool)
     cur = 0
@@ -483,13 +491,12 @@ def _kick_columns(amps: np.ndarray, slabs, phase: np.ndarray, step=None, hook=No
         if kick % TAIL_FLUSH == 0:
             np.less(np.abs(reals[cur], out=magnitude), TAIL_TOL, out=tail)
             np.copyto(reals[cur], 0.0, where=tail)
-        amps = views[cur]
         if hook is not None:
-            hook(amps)
-        amps *= phase
+            hook(views[cur])
+        rows[cur] *= phase
         if step is not None:
             phase *= step
-    return amps
+    return views[cur]
 
 
 def _row_block_products(src: np.ndarray, dst: np.ndarray, half: int, sites: int):
@@ -544,7 +551,7 @@ def _accelerated_flight(qs, t, bet, acc, params: PhysicalParams, t_start: float 
     phase = _free_phase(qs, t, bet, params) * half
     if t_start:
         phase *= np.exp(1j * (params.kappa * acc * t * t_start)[None, :] * qb)
-    return phase, half * half
+    return phase, (half * half if acc.any() else None)
 
 
 def _train_slabs(n_kicks: int, phi_d: float) -> tuple[np.ndarray, ...]:
@@ -756,10 +763,11 @@ def _fold_block(
     q_max = int(qs[-1])
     i0 = -int(qs[0])
     free = _free_phase(qs, t, bet, params)
+    mirror = _mirror_even(i0)
 
     def mirror_and_gate(amps):  # even sector: refill rows c_-D .. c_-1, gate the top band
-        _mirror_even(amps, i0)
-        _check_edge_population(float(np.abs(amps[-EDGE_BAND:]).max() ** 2), q_max)
+        mirror(amps)
+        _check_edges(amps, q_max, even=True)
 
     amps = np.zeros((qs.size, t.size), dtype=np.complex128)
     amps[i0, :] = 1.0
@@ -789,12 +797,12 @@ def _fold_sum(amps: np.ndarray, free: np.ndarray, weight: np.ndarray, i0: int) -
     return free[i0] * terms[-1]
 
 
-def _mirror_even(amps: np.ndarray, i0: int) -> None:
-    """Refill rows q = -i0 .. -1 of an even-sector block (rows from -i0),
-    in the basis c'_q = i^q c_q, from rows i0 .. 1: an even state has
-    c'_-q = (-1)^q c'_q."""
-    parity = np.where(np.arange(-i0, 0) % 2 == 0, 1.0, -1.0)
-    np.multiply(amps[2 * i0 : i0 : -1], parity[:, None], out=amps[:i0])
+def _mirror_even(i0: int) -> Callable[[np.ndarray], None]:
+    """The mirror that refills rows q = -i0 .. -1 of an even-sector block
+    (rows from -i0), in the basis c'_q = i^q c_q, from rows i0 .. 1: an
+    even state has c'_-q = (-1)^q c'_q."""
+    parity = np.where(np.arange(-i0, 0) % 2 == 0, 1.0, -1.0)[:, None]
+    return lambda amps: np.multiply(amps[2 * i0 : i0 : -1], parity, out=amps[:i0])
 
 
 def resonant_return_amplitudes(

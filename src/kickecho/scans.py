@@ -249,7 +249,8 @@ def _outputs(
     """Outputs |c_{q=0}|^2 along one control axis: a FinitePulseSpec runs
     the finite-pulse engine, and a SequenceSpec the delta-kick engine that
     ladder.return_amplitudes chooses for the columns."""
-    periods, betas, accels = spec.period, 0.0, spec.accel
+    periods, betas = spec.period, 0.0
+    accels = spec.accel if isinstance(spec, SequenceSpec) else 0.0
     if axis == "eps":
         periods = spec.period + values
     elif axis == "p0":

@@ -315,7 +315,7 @@ def test_failed_history_leaves_no_file(tmp_path, monkeypatch, capsys):
         if calls[0] > max(1, ladder.HISTORY_BLOCK_CELLS // amps.shape[0]):
             listed.extend((p.name, p.stat().st_size) for p in tmp_path.iterdir())
             try:
-                ladder._check_edge_population(1.0, q_max)
+                real_gate(np.ones_like(amps), q_max)
             except TruncationError as exc:
                 messages.append(str(exc))
                 raise

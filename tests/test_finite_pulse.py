@@ -243,19 +243,13 @@ def test_auto_ladder_retries_once_on_twice_the_estimate(params, monkeypatch, cap
 
 def _edge_spy(mp, seen):
     """Record every edge-band population that either engine gates."""
-    gate_population = finite_pulse._check_edge_population
-    gate_edges = finite_pulse._check_edges
+    gate = finite_pulse._check_edges
 
-    def population(worst, q_max):
-        seen.append(worst)
-        gate_population(worst, q_max)
+    def edges(amps, q_max, even=False, weight=1.0):
+        band = amps[-EDGE_BAND:] if even else np.concatenate([amps[:EDGE_BAND], amps[-EDGE_BAND:]])
+        seen.append(weight * float(np.abs(band).max()) ** 2)
+        gate(amps, q_max, even, weight)
 
-    def edges(amps, q_max):
-        seen.append(float(max(np.abs(amps[:EDGE_BAND]).max(),
-                              np.abs(amps[-EDGE_BAND:]).max())) ** 2)
-        gate_edges(amps, q_max)
-
-    mp.setattr(finite_pulse, "_check_edge_population", population)
     mp.setattr(finite_pulse, "_check_edges", edges)
 
 
@@ -295,6 +289,19 @@ def test_auto_ladders_keep_a_margin_below_the_edge_gate(
     assert max(seen) <= 1e-15
 
 
+@pytest.mark.parametrize("q_max", [8, 12])
+def test_even_sector_gate_reports_rung_populations(params, q_max):
+    """At beta = 0 the fold runs the even sector, whose amplitudes are
+    sqrt(2) c_q, and gates half their square: the rung population |c_q|^2
+    that the two-train run gates on the full ladder, at the same pulse."""
+    spec = FinitePulseSpec(8, v0_from_gamma(10.0, params), 2e-6, 1.01 * params.talbot_time)
+    with pytest.raises(TruncationError) as folded:
+        finite_return_amplitudes(8, spec.v0, spec.tau_p, spec.period, 0.0, params, q_max)
+    with pytest.raises(TruncationError) as full:
+        run_finite_sequence(spec, 0.0, params, q_max)
+    assert str(folded.value) == str(full.value)
+
+
 def test_non_finite_inputs_fail_closed(params):
     t_t = params.talbot_time
     with pytest.raises(ValueError, match="finite"):
@@ -326,7 +333,7 @@ def test_spec_validation():
         FinitePulseSpec(2, 1e-29, 1e-6, 0.0)
     with pytest.raises(ValueError):
         FinitePulseSpec(2, 1e-29, 1e-6, math.inf)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         FinitePulseSpec(2, 1e-29, 1e-6, 1e-4, accel=0.5)
 
 

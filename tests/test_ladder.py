@@ -156,7 +156,7 @@ def test_banded_kick_matches_convolution(phi_d, q_max, sign, even, columns, seed
         rotated = rotated[q_max - lead :]
         mirror = rotated[:lead].copy()
         rotated[:lead] = np.nan
-        ladder._mirror_even(rotated, lead)
+        ladder._mirror_even(lead)(rotated)
         assert np.array_equal(rotated[:lead], mirror)
         qs, expected = qs[q_max - lead :], expected[q_max - lead :]
     kicked = ladder._kick_columns(rotated, (slab,), np.ones(rotated.shape))
@@ -290,6 +290,61 @@ def test_edge_violation_in_the_last_block_raises(params):
             batched_return_amplitudes(
                 n_kicks, phi_d, params.talbot_time, betas, 0.0, params, q_max
             )
+
+
+def _edge_block(q_max: int = 10) -> np.ndarray:
+    """Three columns on rung q = 0 of a ladder of half-width q_max."""
+    amps = np.zeros((2 * q_max + 1, 3), dtype=np.complex128)
+    amps[q_max] = 1.0
+    return amps
+
+
+def test_edge_gate_fails_on_nan_anywhere_in_the_band():
+    for row in (*range(EDGE_BAND), *range(-EDGE_BAND, 0)):
+        for value in (complex(math.nan, 0.0), complex(0.0, math.nan)):
+            amps = _edge_block()
+            amps[row, 1] = value
+            with pytest.raises(TruncationError, match="edge-band population nan"):
+                ladder._check_edges(amps, 10)
+
+
+def test_edge_gate_passes_exactly_its_tolerance():
+    """A rung population of exactly EDGE_TOL passes at either end; the next
+    float up fails."""
+    assert 1e-6 * 1e-6 == ladder.EDGE_TOL
+    for row in (0, -1):
+        amps = _edge_block()
+        amps[row, 2] = 1e-6
+        ladder._check_edges(amps, 10)
+        amps[row, 2] = 1.0
+        ladder._check_edges(amps, 10, weight=ladder.EDGE_TOL)
+        with pytest.raises(TruncationError):
+            ladder._check_edges(amps, 10, weight=np.nextafter(ladder.EDGE_TOL, 1.0))
+
+
+def test_edge_gate_weight_scales_the_reported_population():
+    amps = _edge_block()
+    amps[-2, 0] = 1e-5
+    for weight, worst in ((1.0, "1.000e-10"), (0.5, "5.000e-11")):
+        with pytest.raises(TruncationError) as err:
+            ladder._check_edges(amps, 10, weight=weight)
+        assert str(err.value) == (
+            f"edge-band population {worst} exceeds 1e-12 on ladder with q_max = 10; "
+            "rerun with a wider ladder"
+        )
+
+
+def test_even_sector_edge_gate_reads_the_top_band_only():
+    """An even-sector block's bottom rows are q = 0 or its mirror, not an
+    edge: the even gate ignores them, the full-ladder gate does not."""
+    amps = _edge_block()
+    amps[EDGE_BAND - 1, 0] = 1.0
+    ladder._check_edges(amps, 10, even=True)
+    with pytest.raises(TruncationError, match="edge-band population 1.000e[+]00"):
+        ladder._check_edges(amps, 10)
+    amps[-EDGE_BAND, 0] = 1.0
+    with pytest.raises(TruncationError):
+        ladder._check_edges(amps, 10, even=True)
 
 
 def test_batched_rejects_non_finite_inputs(params):
