@@ -31,11 +31,9 @@ cli, config
 """
 
 from .analytic import (
-    FirstOrderCoeffs,
     X_HALF,
     accel_phase_slopes,
     eps_phase_slopes,
-    first_order_coeffs,
     fwhm_accel,
     fwhm_eps,
     fwhm_p0,
@@ -74,7 +72,6 @@ from .ladder import (
     apply_free_evolution_accelerated,
     apply_kick,
     auto_q_max,
-    basis_state,
     batched_return_amplitudes,
     folded_return_amplitudes,
     gaussian_output,
@@ -108,11 +105,9 @@ from .scans import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FirstOrderCoeffs",
     "X_HALF",
     "accel_phase_slopes",
     "eps_phase_slopes",
-    "first_order_coeffs",
     "fwhm_accel",
     "fwhm_eps",
     "fwhm_p0",
@@ -145,7 +140,6 @@ __all__ = [
     "apply_free_evolution_accelerated",
     "apply_kick",
     "auto_q_max",
-    "basis_state",
     "batched_return_amplitudes",
     "folded_return_amplitudes",
     "gaussian_output",

@@ -19,7 +19,6 @@ reversed-train coefficient d_q; the output depends on theta_q - chi_q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,39 +109,6 @@ def accel_phase_slopes(
     n = n_kicks
     pref = params.kappa * params.talbot_time**2 / 12.0
     return pref * q * (n + 1.0) * (4.0 * n - 1.0), -pref * q * (n - 1.0) * (8.0 * n - 1.0)
-
-
-@dataclass(frozen=True)
-class FirstOrderCoeffs:
-    """Per-rung first-order data: shared magnitude and all phase slopes."""
-
-    q: int
-    magnitude: float
-    theta_slope_eps: float
-    chi_slope_eps: float
-    theta_slope_p0: float
-    chi_slope_p0: float
-    theta_slope_a: float
-    chi_slope_a: float
-
-
-def first_order_coeffs(
-    n_kicks: int, phi_d: float, q: int, params: PhysicalParams
-) -> FirstOrderCoeffs:
-    """All first-order data for rung q at the given train parameters."""
-    te, ce = eps_phase_slopes(n_kicks, phi_d, q, params)
-    tp, cp = p0_phase_slopes(n_kicks, q, params)
-    ta, ca = accel_phase_slopes(n_kicks, q, params)
-    return FirstOrderCoeffs(
-        q=int(q),
-        magnitude=float(ladder_weights(n_kicks, phi_d, q)),
-        theta_slope_eps=float(te),
-        chi_slope_eps=float(ce),
-        theta_slope_p0=float(tp),
-        chi_slope_p0=float(cp),
-        theta_slope_a=float(ta),
-        chi_slope_a=float(ca),
-    )
 
 
 def _sum_q_range(n_kicks: int, phi_d: float) -> np.ndarray:

@@ -185,7 +185,7 @@ def _format_cell(value: Any) -> str:
 
 
 def _render_csv(header: list[str], rows: Iterable[list[Any]]) -> str:
-    lines = [",".join(header)]
+    lines = [",".join(_format_cell(name) for name in header)]
     for row in rows:
         if len(row) != len(header):
             raise AssertionError("row width does not match header")

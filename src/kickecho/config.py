@@ -38,15 +38,35 @@ class ConfigError(ValueError):
 # Caps on the work one run may request: kicks or pulses per train (also
 # each n_list entry), the strength of one kick (phi_d, or the finite-pulse
 # area V0 tau_p / (2 hbar) that gamma and tau_p_us give), the depth gamma,
-# which sizes the finite-pulse ladder of tau-min-sweep, and the strength
+# which sizes the finite-pulse ladder of tau-min-sweep, the strength
 # n_kicks * phi_d of one delta-kick train, which sizes the delta-kick ladder
-# (auto_q_max).  Each is at least ten times the largest value that the
+# (auto_q_max), the samples of one scan window (points), the finite-pulse
+# scans of peak-shift (multiples) and the width searches of tau-min-sweep
+# (n_list entries).  Each is at least ten times the largest value that the
 # benchmark, the acceptance tests and the scripts use (200 kicks,
-# phi_d = 2, area 5.6, gamma = 100, train strength 204).
+# phi_d = 2, area 5.6, gamma = 100, train strength 204, 161 points,
+# 3 multiples, 4 n_list entries).
 MAX_KICKS = 2000
 MAX_PULSE_AREA = 100.0
 MAX_GAMMA = 1000.0
 MAX_TRAIN_STRENGTH = 2500.0
+MAX_POINTS = 2000
+MAX_MULTIPLES = 30
+MAX_N_LIST = 40
+# The period is period_multiple * T_T, and the flight phase is built from
+# it, about period_multiple * q^2 radians, so its rounding grows with the
+# multiple: the N = 20, phi_d = 1 echo at l T_T, exactly 1, is off by
+# 4.9e-15 at l = 1e3, 1.0e-12 at l = 1e6 and 0.93 at l = 1e12.  The cap is
+# more than ten times the largest multiple in use (2), and keeps that echo
+# within 1e-12 of 1.
+MAX_PERIOD_MULTIPLE = 1000
+# The species box: mass_u from hydrogen (1 u) to heavy molecules (1e4 u),
+# lambda_nm from the extreme ultraviolet (10 nm) to the far infrared
+# (1e5 nm).  Far outside it the recoil rate or the Talbot time leaves the
+# double range (lambda_nm = 1e300 gives omega_r = 0, mass_u = 1e300 a T_T
+# whose square overflows), and mass_u = 1e-120 makes the width fits fail.
+MASS_U_RANGE = (1.0, 1e4)
+LAMBDA_NM_RANGE = (10.0, 1e5)
 
 
 _KEY_TYPES: dict[str, type] = {
@@ -215,6 +235,11 @@ def _check_bounds(values: dict[str, Any]) -> None:
         if key in values and values[key] is not None and not values[key] <= bound:
             raise ConfigError(f"{key} must be at most {bound:g}, got {values[key]!r}")
 
+    def within(key: str, bounds: tuple[float, float]) -> None:
+        lo, hi = bounds
+        if key in values and not lo <= values[key] <= hi:
+            raise ConfigError(f"{key} must be within [{lo:g}, {hi:g}], got {values[key]!r}")
+
     def at_least(key: str, bound: int) -> None:
         if key in values and values[key] is not None and values[key] < bound:
             raise ConfigError(
@@ -224,8 +249,8 @@ def _check_bounds(values: dict[str, Any]) -> None:
     for key, value in values.items():
         if _KEY_TYPES.get(key) is float and value is not None and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
-    positive("mass_u")
-    positive("lambda_nm")
+    within("mass_u", MASS_U_RANGE)
+    within("lambda_nm", LAMBDA_NM_RANGE)
     positive("gamma")
     positive("sigma_x_um")
     positive("scale_factor")
@@ -237,6 +262,9 @@ def _check_bounds(values: dict[str, Any]) -> None:
     at_most("n_kicks", MAX_KICKS)
     at_most("phi_d", MAX_PULSE_AREA)
     at_most("gamma", MAX_GAMMA)
+    at_most("points", MAX_POINTS)
+    at_most("multiples", MAX_MULTIPLES)
+    at_most("period_multiple", MAX_PERIOD_MULTIPLE)
     if values.get("phi_d") is not None and values["phi_d"] < 0.0:
         raise ConfigError(f"phi_d must be nonnegative, got {values['phi_d']!r}")
     if values.get("phi_d") is not None and values.get("n_kicks") is not None:
@@ -283,6 +311,8 @@ def _normalize_n_list(text: str) -> str:
         raise ConfigError(f"n_list must be comma-separated integers, got {text!r}")
     if not items or any(n < 1 for n in items):
         raise ConfigError(f"n_list must hold positive integers, got {text!r}")
+    if len(items) > MAX_N_LIST:
+        raise ConfigError(f"n_list must hold at most {MAX_N_LIST} entries, got {len(items)}")
     if max(items) > MAX_KICKS:
         raise ConfigError(f"n_list entries must be at most {MAX_KICKS}, got {text!r}")
     return ",".join(str(n) for n in items)

@@ -79,16 +79,16 @@ same populations as a table of J_q(phi_d |S_k|)^2 took 0.42 s against
 the ladder's 0.045 s at N = 100, phi_d = 2.04.  gaussian_output stays on
 two trains for the benchmark echo named above.
 
-Engine and reference.  batched_return_amplitudes, folded_return_amplitudes,
-momentum_history and train_matrix all run one loop, _kick_columns, in the
-basis c'_q; train_matrix rotates its matrix back.  Each period kicks a
-block of columns, calls a per-kick hook (the edge gate, the even-sector
-mirror, a population record, or nothing), then applies the free-flight
-phase, carried under acceleration as a running multiplier without the
-global a^2 phase.  A kick is a real banded product over the complex
-amplitudes viewed as float64: each row block of KICK_ROWS rows is one
-real Toeplitz slab, KICK_ROWS + 2D columns wide, times the block's input
-rows, in tiles of KICK_TILE columns.  No sites x sites matrix is built.
+Engine and reference.  batched_return_amplitudes, folded_return_amplitudes
+and momentum_history all run one loop, _kick_columns, in the basis c'_q.
+Each period kicks a block of columns, calls a per-kick hook (the edge
+gate, the even-sector mirror or a population record), then applies the
+free-flight phase, carried under acceleration as a running multiplier
+without the global a^2 phase.  A kick is a real banded product over the
+complex amplitudes viewed as float64: each row block of KICK_ROWS rows
+is one real Toeplitz slab, KICK_ROWS + 2D columns wide, times the
+block's input rows, in tiles of KICK_TILE columns.  No sites x sites
+matrix is built.
 run_sequence is the independent reference: apply_kick (the complex
 convolution _convolve_kick) and one free flight per period, with the
 exact accelerated action.
@@ -201,7 +201,9 @@ class LadderState:
 
 def ground_state(beta: float, q_max: int) -> LadderState:
     """State fully on rung q = 0 of the beta fiber."""
-    return basis_state(beta, _check_q_max(q_max), 0)
+    amps = np.zeros(2 * _check_q_max(q_max) + 1, dtype=np.complex128)
+    amps[q_max] = 1.0
+    return LadderState(beta=beta, q_max=q_max, amps=amps)
 
 
 def _check_q_max(q_max: int) -> int:
@@ -221,15 +223,6 @@ def _check_n_kicks(n_kicks: int, name: str = "n_kicks") -> int:
     ):
         raise ValueError(f"{name} must be a positive integer, got {n_kicks!r}")
     return n_kicks
-
-
-def basis_state(beta: float, q_max: int, q: int) -> LadderState:
-    """State fully on rung q."""
-    if abs(q) > q_max:
-        raise ValueError(f"|q| = {abs(q)} exceeds q_max = {q_max}")
-    amps = np.zeros(2 * q_max + 1, dtype=np.complex128)
-    amps[q + q_max] = 1.0
-    return LadderState(beta=beta, q_max=q_max, amps=amps)
 
 
 def auto_q_max(n_kicks: int, phi_d: float) -> int:
@@ -533,25 +526,21 @@ def _free_phase(qs, t, bet, params: PhysicalParams) -> np.ndarray:
     )
 
 
-def _accelerated_flight(qs, t, bet, acc, params: PhysicalParams, t_start: float = 0.0):
+def _accelerated_flight(qs, t, bet, acc, params: PhysicalParams):
     """(phase, step) of _kick_columns for columns (t, bet, acc) of a train
-    that starts at time t_start.
+    that starts at time 0.
 
-    Period n = 1, 2, ... multiplies by quad * half^(2n - 1 + 2 t_start/t),
-    quad the zero-acceleration phase and
-    half = exp(i kappa a t^2 (q + beta) / 2): the linear-in-(q+beta) term
-    of the accelerated action grows arithmetically in n, so the engine
-    carries it as a running multiplier with step = half^2.  The
-    (q, beta)-independent a^2 term is dropped: it is common to every fiber
-    with the same (period, accel).
+    Period n = 1, 2, ... multiplies by quad * half^(2n - 1), quad the
+    zero-acceleration phase and half = exp(i kappa a t^2 (q + beta) / 2):
+    the linear-in-(q+beta) term of the accelerated action grows
+    arithmetically in n, so the engine carries it as a running multiplier
+    with step = half^2.  The (q, beta)-independent a^2 term is dropped: it
+    is common to every fiber with the same (period, accel).
     """
     t, bet, acc = np.atleast_1d(t, bet, acc)
     qb = qs[:, None] + bet[None, :]
     half = np.exp(1j * (0.5 * params.kappa * acc * t**2)[None, :] * qb)
-    phase = _free_phase(qs, t, bet, params) * half
-    if t_start:
-        phase *= np.exp(1j * (params.kappa * acc * t * t_start)[None, :] * qb)
-    return phase, (half * half if acc.any() else None)
+    return _free_phase(qs, t, bet, params) * half, (half * half if acc.any() else None)
 
 
 def _train_slabs(n_kicks: int, phi_d: float) -> tuple[np.ndarray, ...]:
@@ -572,7 +561,6 @@ def momentum_history(
     seq: SequenceSpec,
     beta: float,
     params: PhysicalParams,
-    q_max: int | None = None,
     sink=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Populations |c_q|^2 after each of the 2*n_kicks kicks.
@@ -586,7 +574,7 @@ def momentum_history(
     is a buffer that is overwritten after the call.  When a gate raises,
     the blocks before the failing kick may have been handed over already.
     """
-    start = ground_state(beta, auto_q_max(seq.n_kicks, seq.phi_d) if q_max is None else q_max)
+    start = ground_state(beta, auto_q_max(seq.n_kicks, seq.phi_d))
     q_max, qs = start.q_max, start.q_values
     rows = 2 * seq.n_kicks
     if sink is not None:
@@ -614,34 +602,6 @@ def momentum_history(
     if filled:
         sink(qs, block[:filled])
     return qs, None
-
-
-def train_matrix(
-    n_kicks: int,
-    phi_d: float,
-    period: float,
-    beta: float,
-    params: PhysicalParams,
-    sign: int = +1,
-    accel: float = 0.0,
-    t_offset: float = 0.0,
-    q_max: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full matrix of one train on the truncated ladder.
-
-    Returns (q_values, U) where U[:, j] is the train applied to the basis
-    state on rung q_values[j], without the a^2 action phase (as in
-    batched_return_amplitudes).  Used to read transition amplitudes
-    <q'|train|q> without re-running per column.  No gate runs.  The train
-    runs in the basis c'_q = i^q c_q, and U[q, q'] = i^(q'-q) U'[q, q']
-    rotates it back.
-    """
-    q_max = auto_q_max(n_kicks, phi_d) + EDGE_BAND if q_max is None else _check_q_max(q_max)
-    qs = np.arange(-q_max, q_max + 1)
-    flight = _accelerated_flight(qs, period, beta, accel, params, t_offset)
-    u = np.eye(qs.size, dtype=np.complex128)
-    u = _kick_columns(u, (_kick_slab(phi_d, sign),) * n_kicks, *flight)
-    return qs, u * np.array([1.0, 1j, -1.0, -1j])[(qs[None, :] - qs[:, None]) % 4]
 
 
 def _flat_columns(what: str, periods, *rest) -> tuple[tuple[int, ...], list[np.ndarray]]:

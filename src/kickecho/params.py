@@ -68,8 +68,10 @@ class PhysicalParams:
 def derive_params(mass: float, wavelength: float) -> PhysicalParams:
     """Build PhysicalParams from an atomic mass (kg) and wavelength (m).
 
-    Raises ValueError for non-positive inputs.  The returned object satisfies
-    hbar*kappa^2*talbot_time/(2*mass) = 2*pi to 1e-12 relative.
+    Raises ValueError for non-positive inputs, and for inputs whose k_laser,
+    kappa, omega_r or talbot_time leaves the positive double range.  The
+    returned object satisfies hbar*kappa^2*talbot_time/(2*mass) = 2*pi to
+    1e-12 relative.
     """
     if not (mass > 0.0) or not math.isfinite(mass):
         raise ValueError(f"mass must be positive and finite, got {mass!r}")
@@ -77,13 +79,27 @@ def derive_params(mass: float, wavelength: float) -> PhysicalParams:
         raise ValueError(f"wavelength must be positive and finite, got {wavelength!r}")
     k_laser = 2.0 * math.pi / wavelength
     kappa = 2.0 * k_laser
-    omega_r = HBAR * k_laser**2 / (2.0 * mass)
+    # kappa**2 raises OverflowError past 1.3e154; such a recoil rate is
+    # rejected below as infinite.
+    omega_r = HBAR * k_laser**2 / (2.0 * mass) if kappa < 1e154 else math.inf
+    _check_derived(mass, wavelength, k_laser=k_laser, kappa=kappa, omega_r=omega_r)
     talbot_time = 2.0 * math.pi / (4.0 * omega_r)
+    _check_derived(mass, wavelength, talbot_time=talbot_time)
     p = PhysicalParams(mass, wavelength, k_laser, kappa, omega_r, talbot_time)
     ident = HBAR * kappa**2 * talbot_time / (2.0 * mass) / (2.0 * math.pi)
     if abs(ident - 1.0) > _IDENTITY_TOL:
         raise AssertionError(f"Talbot identity violated: {ident!r}")
     return p
+
+
+def _check_derived(mass: float, wavelength: float, **derived: float) -> None:
+    """ValueError unless every derived value is finite and positive."""
+    for name, value in derived.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(
+                f"{name} = {value!r} of mass {mass!r} kg and wavelength {wavelength!r} m "
+                "is not finite and positive"
+            )
 
 
 def rb85_params(

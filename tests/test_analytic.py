@@ -1,13 +1,16 @@
-"""First-order phase model against finite-difference phases of the engine.
+"""First-order phase model against finite-difference phases of the
+reference dynamics.
 
-The phase-slope formulas are verified by differentiating the actual
-train matrices: theta_q from the forward-train amplitude <q|U+|0>, chi_q
-from the reversed-train coefficient <0|U-|q>, whose phase carries -chi_q
-by the output-assembly convention.  Central differences under a small
-symmetric step of one control cancel the static q*pi/2 phases, the
-even-order quadratic terms, and (for acceleration) the q-independent
-a^2 action, so the comparison isolates exactly the linear slopes.  Closed forms are checked against the q-sum they resum
-and against independent root finds of their half-maximum points.
+The phase-slope formulas are verified by differentiating train matrices
+built from the steps of run_sequence: theta_q from the forward-train
+amplitude <q|U+|0>, chi_q from the reversed-train coefficient <0|U-|q>,
+whose phase carries -chi_q by the output-assembly convention.  Central
+differences under a small symmetric step of one control cancel the
+static q*pi/2 phases, the even-order quadratic terms, and (for
+acceleration) the q-independent a^2 action, so the comparison isolates
+exactly the linear slopes.  Closed forms are checked against the q-sum
+they resum and against independent root finds of their half-maximum
+points.
 """
 
 import math
@@ -22,7 +25,6 @@ from kickecho.analytic import (
     X_HALF,
     accel_phase_slopes,
     eps_phase_slopes,
-    first_order_coeffs,
     fwhm_accel,
     fwhm_eps,
     fwhm_p0,
@@ -36,7 +38,17 @@ from kickecho.analytic import (
     p0_phase_slopes,
 )
 from kickecho.errors import SingularCoefficientError
-from kickecho.ladder import SequenceSpec, run_sequence, train_matrix
+from kickecho.ladder import (
+    EDGE_BAND,
+    LadderState,
+    SequenceSpec,
+    _accelerated_phase,
+    _convolve_kick,
+    apply_free_evolution,
+    auto_q_max,
+    kick_kernel,
+    run_sequence,
+)
 from kickecho.params import HBAR
 
 
@@ -79,8 +91,29 @@ def test_singular_bessel_ratio_raises(params):
         eps_phase_slopes(1, z0, 0, params)
 
 
+def _train_matrix(n_kicks, phi_d, period, beta, params, sign, accel, t_offset):
+    """One train on the ladder of auto_q_max + EDGE_BAND, from the steps of
+    run_sequence: each kick convolves the identity, each flight multiplies
+    by the zero-acceleration phase, or by the exact action of the period
+    that starts at t_offset + n * period.  Returns (q_values, U)."""
+    q_max = auto_q_max(n_kicks, phi_d) + EDGE_BAND
+    qs = np.arange(-q_max, q_max + 1)
+    unit = LadderState(beta, q_max, np.ones(qs.size, dtype=complex))
+    kernel, u = kick_kernel(phi_d, sign), np.eye(qs.size, dtype=complex)
+    for n in range(n_kicks):
+        u = _convolve_kick(u, kernel)
+        if accel == 0.0:
+            flight = apply_free_evolution(unit, period, params).amps
+        else:
+            flight = _accelerated_phase(qs, beta, period, params, accel, t_offset + n * period)
+        u *= flight[:, None]
+    return qs, u
+
+
 def _fd_phase_slopes(n_kicks, phi_d, params, axis, h):
-    """Central-difference phase slopes of both trains' coefficients."""
+    """Central-difference phase slopes of both trains' coefficients, on
+    train matrices built from the reference steps, which share no code
+    with the engine."""
 
     def coefficients(x):
         if axis == "eps":
@@ -93,13 +126,9 @@ def _fd_phase_slopes(n_kicks, phi_d, params, axis, h):
             )
         else:
             period, beta, accel = params.talbot_time, 0.0, x
-        qs, forward = train_matrix(
-            n_kicks, phi_d, period, beta, params, sign=+1, accel=accel,
-            t_offset=0.0,
-        )
-        _, reversed_ = train_matrix(
-            n_kicks, phi_d, period, beta, params, sign=-1, accel=accel,
-            t_offset=n_kicks * period,
+        qs, forward = _train_matrix(n_kicks, phi_d, period, beta, params, +1, accel, 0.0)
+        _, reversed_ = _train_matrix(
+            n_kicks, phi_d, period, beta, params, -1, accel, n_kicks * period
         )
         # The center row of the reversed train is the coefficient that
         # multiplies c_q in the echo sum; its phase carries -chi_q.
@@ -148,15 +177,6 @@ def test_accel_slopes_match_finite_difference(params, n_kicks, phi_d):
     scale = np.max(np.abs(theta))
     np.testing.assert_allclose(theta_fd[keep], theta, rtol=1e-4, atol=1e-4 * scale)
     np.testing.assert_allclose(chi_fd[keep], chi, rtol=1e-4, atol=1e-4 * scale)
-
-
-def test_first_order_coeffs_bundle(params):
-    c = first_order_coeffs(10, 0.5, 3, params)
-    assert c.q == 3
-    assert c.magnitude == pytest.approx(float(special.jv(3, 5.0)), rel=1e-14)
-    theta, chi = p0_phase_slopes(10, 3, params)
-    assert c.theta_slope_p0 == pytest.approx(float(theta))
-    assert c.chi_slope_p0 == pytest.approx(float(chi))
 
 
 def test_output_first_order_rejects_two_controls(params):

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior: resolution order, outputs, exit codes."""
 
+import csv
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from kickecho.ladder import (
     momentum_history,
     resonant_return_amplitudes,
 )
-from kickecho.params import v0_from_gamma
+from kickecho.params import ATOMIC_MASS_KG, derive_params, v0_from_gamma
 from kickecho.scans import gaussian_accel_scan, scan
 
 
@@ -186,6 +188,71 @@ def test_validation_failure_writes_no_files(tmp_path, capsys):
     assert run_cli("echo", "--set", "n_kicks=4", "--set", "phi_d=0.5", "--out", out) == 2
     assert "sidecar" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+_N_ARGS = ("--set", "n_kicks=4", "--set", "phi_d=0.5")
+_N2_ARGS = ("--set", "n_kicks=2", "--set", "phi_d=0.5")
+_FINITE_ARGS = ("--set", "n_kicks=4", "--set", "gamma=10", "--set", "tau_p_us=2")
+
+
+def _capped(key, *argv):
+    return pytest.param(argv, key, id=f"{argv[0]}-{key}-{argv[-1].split('=')[-1][:13]}")
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        _capped("points", "scan-eps", *_N_ARGS, "--points", "1000000000000"),
+        _capped("points", "scan-eps", *_N_ARGS, "--set", "points=2001"),
+        _capped("period_multiple", "echo", "--set", "n_kicks=20", "--set", "phi_d=1",
+                "--set", "period_multiple=1000000000000"),
+        _capped("period_multiple", "finite-scan", *_FINITE_ARGS, "--set", "period_multiple=1001"),
+        _capped("multiples", "peak-shift", *_FINITE_ARGS, "--set", "multiples=1000000000000"),
+        _capped("n_list", "tau-min-sweep", "--set", "gamma=10",
+                "--set", "n_list=" + ",".join(["4"] * 41)),
+        _capped("lambda_nm", "echo", *_N2_ARGS, "--set", "lambda_nm=1e300"),
+        _capped("lambda_nm", "echo", *_N2_ARGS, "--set", "lambda_nm=1e120"),
+        _capped("lambda_nm", "echo", *_N2_ARGS, "--set", "lambda_nm=9.99"),
+        _capped("mass_u", "echo", *_N2_ARGS, "--set", "mass_u=1e300"),
+        _capped("mass_u", "scan-eps", *_N_ARGS, "--set", "mass_u=1e-120"),
+        _capped("mass_u", "finite-scan", *_FINITE_ARGS, "--set", "mass_u=10001"),
+    ],
+)
+def test_count_and_species_keys_are_capped(tmp_path, capsys, argv, key):
+    """Counts past their cap and species outside the box fail as config
+    errors that name the key, before any engine runs."""
+    start = time.perf_counter()
+    assert run_cli(*argv, "--out", str(tmp_path / "out.csv")) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {key} must ")
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("mass_u", [1.0, 1e4])
+@pytest.mark.parametrize("lambda_nm", [10.0, 1e5])
+def test_species_box_corners_run(tmp_path, mass_u, lambda_nm):
+    """At every corner of the species box the echo, a timing scan and a
+    finite-pulse scan (pulses of 1 % of T_T) succeed or fail as engine
+    errors, with finite outputs."""
+    talbot_time = derive_params(mass_u * ATOMIC_MASS_KG, lambda_nm * 1e-9).talbot_time
+    species = ("--set", f"mass_u={mass_u!r}", "--set", f"lambda_nm={lambda_nm!r}")
+    out = str(tmp_path / "out.csv")
+    for argv in (
+        ("echo", *_N_ARGS, "--set", "beta=0.1", "--set", "accel=0.001",
+         "--set", f"eps_ns={1e6 * talbot_time!r}"),
+        ("scan-eps", *_N_ARGS, "--points", "33"),
+        ("finite-scan", "--set", "n_kicks=4", "--set", "gamma=10",
+         "--set", f"tau_p_us={1e4 * talbot_time!r}", "--points", "33"),
+    ):
+        code = run_cli(*argv, *species, "--out", out)
+        assert code in (0, 3), argv
+        if code == 0:
+            _, control, output = _read_columns(out)
+            assert np.isfinite(control).all() and np.isfinite(output).all()
+            side = json.load(open(sidecar_path(out)), parse_constant=float)
+            assert all(math.isfinite(v) for v in side["metrics"].values())
 
 
 def test_non_finite_config_values_are_rejected(tmp_path, capsys):
@@ -525,6 +592,22 @@ def test_fit_scaling_recovers_synthetic_law(tmp_path):
     side = json.load(open(sidecar_path(out)))
     assert side["metrics"]["exponent"] == pytest.approx(-2.0, abs=1e-10)
     assert side["metrics"]["prefactor"] == pytest.approx(33.0, rel=1e-10)
+
+
+def test_csv_header_quotes_column_names(tmp_path):
+    """fit-scaling copies the data's column names into its header; one
+    with a comma is quoted, so every line has the header's width."""
+    rows = "\n".join(f"{n},{33.0 * n**-2.0}" for n in (8, 16, 32, 64, 128))
+    data = write(tmp_path / "data.csv", '"n,pulses",w\n' + rows + "\n")
+    out = str(tmp_path / "fit.csv")
+    argv = ("--set", f"data_csv={data}", "--set", "x_column=n,pulses", "--set", "value_column=w")
+    assert run_cli("fit-scaling", *argv, "--out", out) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == ["n,pulses", "w", "fitted_value"]
+        table = list(reader)
+    assert [float(row["n,pulses"]) for row in table] == [8.0, 16.0, 32.0, 64.0, 128.0]
+    assert all(None not in row for row in table)
 
 
 def _read_columns(path):

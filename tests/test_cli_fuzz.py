@@ -48,7 +48,10 @@ _VALUES = {
     "data_csv": st.just("data.csv"),
 }
 _JUNK = st.sampled_from(
-    ["nan", "inf", "-inf", "1e400", "1e-320", "abc", "0", "-1", "2.5", "100000"]
+    [
+        "nan", "inf", "-inf", "1e400", "1e-320", "abc", "0", "-1", "2.5", "100000",
+        "1e120", "1e300", "1000000000000",
+    ]
 )
 # Cells of the fit-scaling data file.
 _N_CELLS = st.sampled_from(["1", "2", "5", "10", "20", "50", "100"])

@@ -28,7 +28,6 @@ from kickecho.ladder import (
     apply_free_evolution_accelerated,
     apply_kick,
     auto_q_max,
-    basis_state,
     batched_return_amplitudes,
     folded_return_amplitudes,
     gaussian_beta_nodes,
@@ -38,7 +37,6 @@ from kickecho.ladder import (
     momentum_history,
     resonant_return_amplitudes,
     run_sequence,
-    train_matrix,
 )
 from kickecho.params import HBAR
 
@@ -380,8 +378,6 @@ def test_batched_rejects_non_finite_inputs(params):
             batched_return_amplitudes(4, 0.5, t, 0.0, 0.0, params, q_max)
         with pytest.raises(ValueError, match="q_max"):
             folded_return_amplitudes(4, 0.5, t, 0.0, params, q_max)
-        with pytest.raises(ValueError, match="q_max"):
-            train_matrix(4, 0.5, t, 0.0, params, q_max=q_max)
 
 
 @settings(max_examples=30, deadline=None)
@@ -744,20 +740,6 @@ def test_momentum_history_matches_per_kick_reference(
     assert np.max(np.abs(history - np.array(record))) <= 1e-12
 
 
-def test_train_matrix_matches_state_evolution(params):
-    n_kicks, phi_d, beta = 5, 0.9, 0.13
-    period = params.talbot_time + 1e-9
-    qs, u = train_matrix(n_kicks, phi_d, period, beta, params)
-    q_max = (qs.size - 1) // 2
-    state = ground_state(beta, q_max)
-    evolved = _reference_train(state, n_kicks, phi_d, +1, period, params)
-    np.testing.assert_allclose(u[:, q_max], evolved.amps, atol=1e-12)
-    # Unitarity of the truncated train matrix away from the edges.
-    inner = slice(q_max - 10, q_max + 11)
-    gram = (u.conj().T @ u)[inner, inner]
-    np.testing.assert_allclose(gram, np.eye(21), atol=1e-9)
-
-
 def test_gaussian_output_plane_wave_limit(params):
     """A very wide packet has a delta-like momentum density, so the
     coherent average must collapse onto the beta = 0 fiber output."""
@@ -960,14 +942,10 @@ def test_truncation_error_on_narrow_ladder(params):
         apply_kick(ground_state(0.0, 8), 20.0)
 
 
-def test_basis_state_and_ground_state():
+def test_ground_state():
     g = ground_state(0.1, 12)
-    b = basis_state(0.1, 12, 3)
     assert g.population(0) == 1.0
-    assert b.population(3) == 1.0
     assert float(np.sum(g.populations())) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        basis_state(0.0, 5, 9)
     for q_max in (5, 7.5):
         with pytest.raises(ValueError, match="q_max"):
             ground_state(0.0, q_max)

@@ -97,3 +97,14 @@ def test_talbot_identity_everywhere(mass_u, wavelength_nm):
     p = derive_params(mass_u * ATOMIC_MASS_KG, wavelength_nm * 1e-9)
     ident = HBAR * p.kappa**2 * p.talbot_time / (2.0 * p.mass)
     assert ident == pytest.approx(2.0 * math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mass_u,wavelength_nm",
+    [(1.0, 1e300), (1e300, 1e11), (1.0, 1e-160), (1e-250, 1e-120), (1e300, 1e-150)],
+)
+def test_derived_values_out_of_double_range_raise(mass_u, wavelength_nm):
+    """A recoil rate that underflows to 0 or overflows, or a Talbot time
+    that does, is a ValueError, not a division or overflow error."""
+    with pytest.raises(ValueError, match="not finite and positive"):
+        derive_params(mass_u * ATOMIC_MASS_KG, wavelength_nm * 1e-9)
