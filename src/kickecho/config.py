@@ -12,23 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .params import RB85_MASS_U, PhysicalParams, derive_params, ATOMIC_MASS_KG
 
 FORMAT_VERSION = 1
-
-KINDS = (
-    "echo",
-    "momentum-history",
-    "scan-eps",
-    "scan-p0",
-    "scan-accel",
-    "finite-scan",
-    "tau-min-sweep",
-    "fit-scaling",
-    "peak-shift",
-)
 
 
 class ConfigError(ValueError):
@@ -67,93 +55,83 @@ MAX_PERIOD_MULTIPLE = 1000
 # whose square overflows), and mass_u = 1e-120 makes the width fits fail.
 MASS_U_RANGE = (1.0, 1e4)
 LAMBDA_NM_RANGE = (10.0, 1e5)
+# The launch momentum beta (units of hbar kappa) and the acceleration accel
+# (m/s^2).  At every multiple l T_T the echo is the same at beta and
+# beta + 1, but the rounding of the flight phase (q + beta)^2 grows with
+# beta: the N = 20, phi_d = 1 echo at beta = 0.13 moves by 1.6e-13 at
+# beta = 10.13 (l = 1) and by 5.1e-9 at beta = 1000.13 (l = 2).  The
+# acceleration adds the flight phase kappa accel T_T^2 k^2 / 2 by period k,
+# 0.034 k^2 rad per m/s^2 for Rb-85 at 780 nm: 5.4e7 rad at 100 m/s^2 and
+# k = 2 MAX_KICKS.  The ranges are twenty times the largest |beta| in use
+# (0.5) and, leaving room for gravimetry at g, 200 times the largest
+# |accel| (0.5).  beta = 1e200 and accel = 1e308 gave a NaN echo.
+BETA_RANGE = (-10.0, 10.0)
+ACCEL_RANGE = (-100.0, 100.0)
 
 
-_KEY_TYPES: dict[str, type] = {
-    "mass_u": float,
-    "lambda_nm": float,
-    "n_kicks": int,
-    "phi_d": float,
-    "gamma": float,
-    "tau_p_us": float,
-    "eps_ns": float,
-    "beta": float,
-    "accel": float,
-    "period_multiple": int,
-    "sigma_x_um": float,
-    "points": int,
-    "range_lo": float,
-    "range_hi": float,
-    "workers": int,
-    "n_list": str,
-    "data_csv": str,
-    "x_column": str,
-    "value_column": str,
-    "scale_factor": float,
-    "multiples": int,
+# The least positive double: a key whose lowest value it is must be positive.
+_POSITIVE = math.ulp(0.0)
+
+
+class _Key(NamedTuple):
+    """One config key: its type and its lowest and highest allowed value."""
+
+    type: type
+    lo: float = -math.inf
+    hi: float = math.inf
+
+
+_KEYS: dict[str, _Key] = {
+    "mass_u": _Key(float, *MASS_U_RANGE),
+    "lambda_nm": _Key(float, *LAMBDA_NM_RANGE),
+    "n_kicks": _Key(int, 1, MAX_KICKS),
+    "phi_d": _Key(float, 0.0, MAX_PULSE_AREA),
+    "gamma": _Key(float, _POSITIVE, MAX_GAMMA),
+    "tau_p_us": _Key(float, 0.0),
+    "eps_ns": _Key(float),
+    "beta": _Key(float, *BETA_RANGE),
+    "accel": _Key(float, *ACCEL_RANGE),
+    "period_multiple": _Key(int, 1, MAX_PERIOD_MULTIPLE),
+    "sigma_x_um": _Key(float, _POSITIVE),
+    "points": _Key(int, 32, MAX_POINTS),
+    "range_lo": _Key(float),
+    "range_hi": _Key(float),
+    "workers": _Key(int, 1),
+    "n_list": _Key(str),
+    "data_csv": _Key(str),
+    "x_column": _Key(str),
+    "value_column": _Key(str),
+    "scale_factor": _Key(float, _POSITIVE),
+    "multiples": _Key(int, 1, MAX_MULTIPLES),
 }
 
 # Physical-medium keys shared by every kind.
 _COMMON_DEFAULTS: dict[str, Any] = {"mass_u": RB85_MASS_U, "lambda_nm": 780.0}
 
+# The required keys of the delta-kick and the finite-pulse trains, the
+# working point of one delta-kick run, and the window of one scan.
+_DELTA_TRAIN = ("n_kicks", "phi_d")
+_FINITE_TRAIN = ("n_kicks", "gamma", "tau_p_us")
+_WORKING_POINT = {"eps_ns": 0.0, "beta": 0.0, "accel": 0.0, "period_multiple": 1}
+_SCAN_WINDOW = {"points": 161, "range_lo": None, "range_hi": None, "workers": 1}
+
 # kind -> (required keys, optional keys with defaults).  None means the
 # key is accepted without a default (absent unless given).
 _KIND_SCHEMAS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
-    "echo": (
-        ("n_kicks", "phi_d"),
-        {
-            "eps_ns": 0.0,
-            "beta": 0.0,
-            "accel": 0.0,
-            "period_multiple": 1,
-            "sigma_x_um": None,
-        },
-    ),
-    "momentum-history": (
-        ("n_kicks", "phi_d"),
-        {"eps_ns": 0.0, "beta": 0.0, "accel": 0.0, "period_multiple": 1},
-    ),
-    "scan-eps": (
-        ("n_kicks", "phi_d"),
-        {
-            "period_multiple": 1,
-            "points": 161,
-            "range_lo": None,
-            "range_hi": None,
-            "workers": 1,
-        },
-    ),
-    "scan-p0": (
-        ("n_kicks", "phi_d"),
-        {"points": 161, "range_lo": None, "range_hi": None, "workers": 1},
-    ),
-    "scan-accel": (
-        ("n_kicks", "phi_d"),
-        {
-            "points": 161,
-            "range_lo": None,
-            "range_hi": None,
-            "workers": 1,
-            "sigma_x_um": None,
-        },
-    ),
-    "finite-scan": (
-        ("n_kicks", "gamma", "tau_p_us"),
-        {
-            "period_multiple": 1,
-            "points": 97,
-            "range_lo": None,
-            "range_hi": None,
-            "workers": 1,
-        },
-    ),
+    "echo": (_DELTA_TRAIN, {**_WORKING_POINT, "sigma_x_um": None}),
+    "momentum-history": (_DELTA_TRAIN, _WORKING_POINT),
+    "scan-eps": (_DELTA_TRAIN, {**_SCAN_WINDOW, "period_multiple": 1}),
+    "scan-p0": (_DELTA_TRAIN, _SCAN_WINDOW),
+    "scan-accel": (_DELTA_TRAIN, {**_SCAN_WINDOW, "sigma_x_um": None}),
+    "finite-scan": (_FINITE_TRAIN, {**_SCAN_WINDOW, "period_multiple": 1, "points": 97}),
     "tau-min-sweep": (("gamma",), {"n_list": "16,32,64,128"}),
     "fit-scaling": (
         ("data_csv", "x_column", "value_column"),
         {"scale_factor": 1.0},
     ),
-    "peak-shift": (("n_kicks", "gamma", "tau_p_us"), {"multiples": 2}),
+    "peak-shift": (_FINITE_TRAIN, {"multiples": 2}),
 }
+KINDS = tuple(_KIND_SCHEMAS)
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -198,7 +176,7 @@ def load_config_file(path: str) -> dict[str, Any]:
 
 def _coerce(key: str, value: Any) -> Any:
     """Convert a raw config value (string or JSON scalar) to its type."""
-    want = _KEY_TYPES[key]
+    want = _KEYS[key].type
     if want is str:
         if not isinstance(value, str):
             raise ConfigError(f"{key} must be a string, got {value!r}")
@@ -227,46 +205,17 @@ def _coerce(key: str, value: Any) -> Any:
 
 
 def _check_bounds(values: dict[str, Any]) -> None:
-    def positive(key: str) -> None:
-        if key in values and values[key] is not None and not values[key] > 0:
-            raise ConfigError(f"{key} must be positive, got {values[key]!r}")
-
-    def at_most(key: str, bound: float) -> None:
-        if key in values and values[key] is not None and not values[key] <= bound:
-            raise ConfigError(f"{key} must be at most {bound:g}, got {values[key]!r}")
-
-    def within(key: str, bounds: tuple[float, float]) -> None:
-        lo, hi = bounds
-        if key in values and not lo <= values[key] <= hi:
-            raise ConfigError(f"{key} must be within [{lo:g}, {hi:g}], got {values[key]!r}")
-
-    def at_least(key: str, bound: int) -> None:
-        if key in values and values[key] is not None and values[key] < bound:
-            raise ConfigError(
-                f"{key} must be at least {bound}, got {values[key]!r}"
-            )
-
     for key, value in values.items():
-        if _KEY_TYPES.get(key) is float and value is not None and not math.isfinite(value):
+        want, lo, hi = _KEYS[key]
+        if value is None or want is str:
+            continue
+        if want is float and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
-    within("mass_u", MASS_U_RANGE)
-    within("lambda_nm", LAMBDA_NM_RANGE)
-    positive("gamma")
-    positive("sigma_x_um")
-    positive("scale_factor")
-    at_least("n_kicks", 1)
-    at_least("period_multiple", 1)
-    at_least("points", 32)
-    at_least("workers", 1)
-    at_least("multiples", 1)
-    at_most("n_kicks", MAX_KICKS)
-    at_most("phi_d", MAX_PULSE_AREA)
-    at_most("gamma", MAX_GAMMA)
-    at_most("points", MAX_POINTS)
-    at_most("multiples", MAX_MULTIPLES)
-    at_most("period_multiple", MAX_PERIOD_MULTIPLE)
-    if values.get("phi_d") is not None and values["phi_d"] < 0.0:
-        raise ConfigError(f"phi_d must be nonnegative, got {values['phi_d']!r}")
+        if value < lo:
+            bound = "positive" if lo == _POSITIVE else f"at least {lo:g}"
+            raise ConfigError(f"{key} must be {bound}, got {value!r}")
+        if value > hi:
+            raise ConfigError(f"{key} must be at most {hi:g}, got {value!r}")
     if values.get("phi_d") is not None and values.get("n_kicks") is not None:
         strength = values["n_kicks"] * values["phi_d"]
         if not strength <= MAX_TRAIN_STRENGTH:
@@ -274,16 +223,22 @@ def _check_bounds(values: dict[str, Any]) -> None:
                 f"train strength n_kicks * phi_d = {strength:.4g} must be at most "
                 f"{MAX_TRAIN_STRENGTH:g}"
             )
-    if values.get("tau_p_us") is not None and values["tau_p_us"] < 0.0:
-        raise ConfigError(
-            f"tau_p_us must be nonnegative, got {values['tau_p_us']!r}"
-        )
     if values.get("gamma") is not None and values.get("tau_p_us") is not None:
         area = _pulse_area(values)
         if not area <= MAX_PULSE_AREA:
             raise ConfigError(
                 f"pulse area {area:.4g} of gamma = {values['gamma']!r} and "
                 f"tau_p_us = {values['tau_p_us']!r} must be at most {MAX_PULSE_AREA:g}"
+            )
+    # Within half a Talbot time of the config's atom, the period l T_T + eps
+    # stays nearest its multiple l and positive; eps_ns = 1e300 gave a
+    # meaningless echo.
+    if values.get("eps_ns"):
+        half_talbot_ns = 0.5e9 * _physical_params(values).talbot_time
+        if not abs(values["eps_ns"]) <= half_talbot_ns:
+            raise ConfigError(
+                f"eps_ns must be at most half a Talbot time in magnitude, "
+                f"{half_talbot_ns:.6g} ns here, got {values['eps_ns']!r}"
             )
     lo, hi = values.get("range_lo"), values.get("range_hi")
     if (lo is None) != (hi is None):
@@ -294,14 +249,18 @@ def _check_bounds(values: dict[str, Any]) -> None:
         values["n_list"] = _normalize_n_list(values["n_list"])
 
 
+def _physical_params(values: dict[str, Any]) -> PhysicalParams:
+    """The atom and beam of the config's mass_u and lambda_nm."""
+    try:
+        return derive_params(values["mass_u"] * ATOMIC_MASS_KG, values["lambda_nm"] * 1e-9)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _pulse_area(values: dict[str, Any]) -> float:
     """phi_d = V0 tau_p / (2 hbar) = gamma tau_p hbar kappa^2 / (2 m) of the
     square pulse that gamma and tau_p_us give, for the config's atom."""
-    try:
-        params = derive_params(values["mass_u"] * ATOMIC_MASS_KG, values["lambda_nm"] * 1e-9)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return values["gamma"] * values["tau_p_us"] * 1e-6 * params.ladder_phase_rate
+    return values["gamma"] * values["tau_p_us"] * 1e-6 * _physical_params(values).ladder_phase_rate
 
 
 def _normalize_n_list(text: str) -> str:
@@ -332,10 +291,7 @@ class RunConfig:
         return self.values.get(key, default)
 
     def physical_params(self) -> PhysicalParams:
-        return derive_params(
-            mass=self["mass_u"] * ATOMIC_MASS_KG,
-            wavelength=self["lambda_nm"] * 1e-9,
-        )
+        return _physical_params(self.values)
 
     def n_values(self) -> list[int]:
         return [int(part) for part in self["n_list"].split(",")]
@@ -360,7 +316,7 @@ def resolve(kind: str, *sources: dict[str, Any]) -> RunConfig:
     merged: dict[str, Any] = {}
     for source in sources:
         for key, value in source.items():
-            if key not in _KEY_TYPES:
+            if key not in _KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             if key not in allowed:
                 raise ConfigError(f"key {key!r} does not apply to kind {kind!r}")

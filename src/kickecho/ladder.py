@@ -776,8 +776,9 @@ def resonant_return_amplitudes(
     closed form (module docstring), with the broadcast shape of (betas,
     accels) and the phase convention of batched_return_amplitudes (the
     a^2 action term dropped).  Exact on the infinite ladder, so no ladder
-    or gate is involved.  Non-finite inputs, and an n_kicks that is not
-    a positive integer, raise ValueError.
+    or gate is involved.  Non-finite inputs, betas and accels whose
+    flight phases overflow, and an n_kicks that is not a positive
+    integer, raise ValueError.
 
     The amplitudes are evaluated on the grid of distinct betas x distinct
     accels (_resonant_grid) and gathered into the broadcast shape, so an
@@ -797,6 +798,13 @@ def resonant_return_amplitudes(
         return np.empty(np.broadcast_shapes(bet.shape, acc.shape), dtype=np.complex128)
     # Adding 0.0 makes -0.0 and 0.0 one fiber with one set of bits.
     (ub, ib), (ua, ia) = (np.unique(v + 0.0, return_inverse=True) for v in (bet, acc))
+    # The phases of _resonant_grid, 4 pi beta k, theta k^2, theta beta k^2
+    # and 4 pi N beta^2 for k < 2N, are at most reach in magnitude.
+    b = max(1.0, float(np.max(np.abs(ub))))
+    theta = 0.5 * params.kappa * float(np.max(np.abs(ua))) * params.talbot_time**2
+    reach = (4.0 * math.pi + theta) * b * b * (2.0 * n_kicks) * (2.0 * n_kicks)
+    if not math.isfinite(reach):
+        raise ValueError("flight phases of these betas and accels overflow")
     grid = _resonant_grid(n_kicks, phi_d, ub, 0.5 * params.kappa * ua * params.talbot_time**2)
     return grid[ib.reshape(bet.shape), ia.reshape(acc.shape)]
 

@@ -68,10 +68,10 @@ class PhysicalParams:
 def derive_params(mass: float, wavelength: float) -> PhysicalParams:
     """Build PhysicalParams from an atomic mass (kg) and wavelength (m).
 
-    Raises ValueError for non-positive inputs, and for inputs whose k_laser,
-    kappa, omega_r or talbot_time leaves the positive double range.  The
-    returned object satisfies hbar*kappa^2*talbot_time/(2*mass) = 2*pi to
-    1e-12 relative.
+    Raises ValueError for non-positive inputs, for inputs whose k_laser,
+    kappa, omega_r or talbot_time leaves the positive double range, and
+    for inputs whose hbar*kappa^2*talbot_time/(2*mass) is not 2*pi to
+    1e-12 relative, which the returned object satisfies.
     """
     if not (mass > 0.0) or not math.isfinite(mass):
         raise ValueError(f"mass must be positive and finite, got {mass!r}")
@@ -87,8 +87,14 @@ def derive_params(mass: float, wavelength: float) -> PhysicalParams:
     _check_derived(mass, wavelength, talbot_time=talbot_time)
     p = PhysicalParams(mass, wavelength, k_laser, kappa, omega_r, talbot_time)
     ident = HBAR * kappa**2 * talbot_time / (2.0 * mass) / (2.0 * math.pi)
-    if abs(ident - 1.0) > _IDENTITY_TOL:
-        raise AssertionError(f"Talbot identity violated: {ident!r}")
+    if not abs(ident - 1.0) <= _IDENTITY_TOL:
+        # Finite, positive values can still lose the identity to a product
+        # that leaves the normal range: hbar kappa^2 is subnormal at mass
+        # 1e-300 kg and wavelength 1.3e144 m.
+        raise ValueError(
+            f"hbar kappa^2 T_T / (2 m) = 2 pi * {ident!r} of mass {mass!r} kg and "
+            f"wavelength {wavelength!r} m is not 2 pi"
+        )
     return p
 
 

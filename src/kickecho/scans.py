@@ -18,6 +18,7 @@ import functools
 import logging
 import math
 import os
+import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -783,6 +784,9 @@ def fit_scaling(
 
     Raises
     ------
+    ValueError
+        Non-finite or non-positive n or value, or a value * scale_factor
+        outside the normal double range.
     InsufficientSpanError
         Fewer than 4 distinct n values, or the n values span less than
         one decade.
@@ -803,6 +807,12 @@ def fit_scaling(
     if span < 10.0 * (1.0 - 1e-12):
         raise InsufficientSpanError(
             f"n values span a factor of {span:.3g}, need at least one decade"
+        )
+    # Outside the normal double range the logarithms lose their digits.
+    least, most = (float(v) * scale_factor for v in (value.min(), value.max()))
+    if not (sys.float_info.min <= least and most < math.inf):
+        raise ValueError(
+            f"scale_factor must keep value * scale_factor finite and normal, got {scale_factor!r}"
         )
     scaled = value * scale_factor
     slope, intercept = np.polyfit(np.log(n), np.log(scaled), 1)

@@ -216,18 +216,32 @@ def _capped(key, *argv):
         _capped("mass_u", "echo", *_N2_ARGS, "--set", "mass_u=1e300"),
         _capped("mass_u", "scan-eps", *_N_ARGS, "--set", "mass_u=1e-120"),
         _capped("mass_u", "finite-scan", *_FINITE_ARGS, "--set", "mass_u=10001"),
+        _capped("accel", "echo", *_N_ARGS, "--set", "accel=1e308"),
+        _capped("accel", "echo", *_N_ARGS, "--set", "accel=1e300"),
+        _capped("beta", "echo", *_N_ARGS, "--set", "beta=1e200"),
+        _capped("beta", "momentum-history", *_N_ARGS, "--set", "beta=1e300"),
+        _capped("eps_ns", "echo", "--set", "n_kicks=20", "--set", "phi_d=1",
+                "--set", "eps_ns=1e300"),
+        _capped("eps_ns", "echo", "--set", "n_kicks=20", "--set", "phi_d=1",
+                "--set", "eps_ns=-1e300"),
+        _capped("scale_factor", "fit-scaling", "--set", "data_csv=data.csv",
+                "--set", "x_column=n", "--set", "value_column=w",
+                "--set", "scale_factor=1e308"),
     ],
 )
-def test_count_and_species_keys_are_capped(tmp_path, capsys, argv, key):
-    """Counts past their cap and species outside the box fail as config
+def test_count_and_species_keys_are_capped(tmp_path, capsys, monkeypatch, argv, key):
+    """Counts past their cap, species outside the box and working points
+    that gave a nan or a result with no precision left fail as config
     errors that name the key, before any engine runs."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("n,w\n1,5\n2,6\n5,7\n10,8\n20,9\n")
     start = time.perf_counter()
-    assert run_cli(*argv, "--out", str(tmp_path / "out.csv")) == 2
+    assert run_cli(*argv, "--out", "out.csv") == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith(f"error: config: {key} must ")
     assert "Traceback" not in err
-    assert os.listdir(tmp_path) == []
+    assert os.listdir(tmp_path) == ["data.csv"]
 
 
 @pytest.mark.parametrize("mass_u", [1.0, 1e4])

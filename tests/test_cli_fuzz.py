@@ -50,7 +50,7 @@ _VALUES = {
 _JUNK = st.sampled_from(
     [
         "nan", "inf", "-inf", "1e400", "1e-320", "abc", "0", "-1", "2.5", "100000",
-        "1e120", "1e300", "1000000000000",
+        "1e120", "1e200", "1e300", "1e308", "1000000000000",
     ]
 )
 # Cells of the fit-scaling data file.

@@ -380,6 +380,14 @@ def test_batched_rejects_non_finite_inputs(params):
             folded_return_amplitudes(4, 0.5, t, 0.0, params, q_max)
 
 
+def test_resonant_amplitudes_reject_overflowing_phases(params):
+    """Finite betas and accels whose flight phases overflow raise instead
+    of returning nan, whatever the other columns of the call."""
+    for betas, accels in ((0.0, 1e308), (1e200, 0.0), ([0.1, 1e160], [0.0, 0.2])):
+        with pytest.raises(ValueError, match="overflow"):
+            resonant_return_amplitudes(5, 0.5, betas, accels, params)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n_kicks=st.integers(min_value=1, max_value=24),

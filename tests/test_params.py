@@ -67,6 +67,13 @@ def test_derive_params_rejects_bad_inputs():
         derive_params(mass=math.inf, wavelength=780e-9)
 
 
+def test_lost_talbot_identity_is_a_value_error():
+    """Every derived value is finite and positive here, but hbar kappa^2 is
+    subnormal, so the identity fails; the error names mass and wavelength."""
+    with pytest.raises(ValueError, match=r"mass 1e-300 kg and wavelength 1.3e\+144 m"):
+        derive_params(1e-300, 1.3e144)
+
+
 def test_v0_gamma_frozen_value(params):
     assert v0_from_gamma(1.0, params) == pytest.approx(V0_GAMMA_1, rel=1e-12)
     assert gamma_from_v0(V0_GAMMA_1, params) == pytest.approx(1.0, rel=1e-12)

@@ -383,6 +383,15 @@ def test_fit_scaling_span_requirements():
             fit_scaling([(8.0, 1.0), (16.0, 0.5), (32.0, 0.25), (bad, 0.1)])
 
 
+def test_fit_scaling_rejects_scaled_values_outside_the_normal_range():
+    """value * scale_factor past the double range gave a nan exponent,
+    prefactor and residual; below the normal range the logs lose digits."""
+    pts = [(1.0, 5.0), (2.0, 6.0), (5.0, 7.0), (10.0, 8.0), (20.0, 9.0)]
+    for scale_factor in (1e308, 1e-320, math.nan):
+        with pytest.raises(ValueError, match="scale_factor"):
+            fit_scaling(pts, scale_factor=scale_factor)
+
+
 def test_find_tau_min_is_coarse_grid_independent(params, monkeypatch):
     monkeypatch.setattr(scans, "TAU_COARSE_POINTS", 16)
     a_tau, a_w = find_tau_min(4, 10.0, params)
