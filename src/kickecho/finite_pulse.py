@@ -38,6 +38,20 @@ propagator per beta instead of two, and at beta = 0 shrinks each product
 about four times.  The folded c_0 depends on the forward state only, so
 the edge and norm gates on that state bound its truncation error.
 run_finite_sequence keeps the full two-train run as the reference.
+
+Grown ladder.  The state after k pulses is the state of a k-pulse
+train, so on its own ladder estimate the fold runs pulse k on a window
+of half-width w_k around q = 0, the estimate for k pulses
+(_pulse_windows); rows above it stay zero.  The edge gate reads the edge
+band of each pulse's window, where that pulse truncates, so it still
+fails closed.  The retry on twice the estimate doubles every window, and
+an explicit q_max runs every pulse on the whole ladder.
+
+Eigenbasis cache.  The pulse Hamiltonian depends on v0, beta, q_max,
+the sign, T_T and the sector, not on tau_p.  pulse_propagator keeps the
+eigenbasis of the most recent Hamiltonian, one real S x S matrix, and
+builds each duration's propagator from it, bit-identical to a fresh
+build, so the width search's durations on one ladder share one solve.
 """
 
 from __future__ import annotations
@@ -51,6 +65,7 @@ import numpy as np
 
 from .errors import TruncationError
 from .ladder import (
+    EDGE_BAND,
     LadderState,
     WavepacketSpec,
     _check_edges,
@@ -142,6 +157,27 @@ def auto_q_max_finite(
     return min(rn, en)
 
 
+def _pulse_windows(spec: FinitePulseSpec, params: PhysicalParams, q_max: int) -> list[int]:
+    """Window half-widths w_1 .. w_N of the folded engine's grown ladder.
+
+    The state after k pulses is that of a k-pulse train, so pulse k runs
+    on w_k = min(q_max, ceil(q_max * q(k) / q(N))), q(k) the estimate of
+    auto_q_max_finite for k pulses (evaluated here for every k at once),
+    and never on fewer than EDGE_BAND + 1 rungs.  On the engine's own
+    estimate q_max = q(N) that is w_k = q(k); its retry on twice the
+    estimate doubles every window.  The windows never shrink.
+    """
+    k = np.arange(1.0, spec.n_pulses + 1)
+    s = k * spec.phi_d
+    gamma = max(spec.gamma(params), 0.0)
+    reach = np.minimum(
+        np.ceil(s + 12.0 + 6.0 * s ** (1.0 / 3.0)),
+        np.ceil(np.sqrt(2.0 * k * gamma) + 8.0 + 3.0 * (2.0 * gamma) ** (1.0 / 6.0)),
+    )
+    windows = np.ceil(q_max * reach / reach[-1])
+    return np.clip(windows, EDGE_BAND + 1, q_max).astype(int).tolist()
+
+
 def _on_ladder(run, q_max: int | None, estimate) -> np.ndarray:
     """run(q_max) on an explicit ladder, which never retries.  With q_max
     None, run(estimate()); if a gate raises TruncationError there, run
@@ -195,17 +231,49 @@ def pulse_propagator(
     params: PhysicalParams,
     even: bool = False,
 ) -> np.ndarray:
-    """Dense unitary exp(-i*H*tau_p/hbar) via tridiagonal eigendecomposition
-    (on the even sector q = 0 .. q_max when even=True, see pulse_bands).
+    """Dense unitary exp(-i*H*tau_p/hbar) = V exp(-i*w*tau_p) V^T from the
+    tridiagonal eigendecomposition H = V diag(w) V^T (on the even sector
+    q = 0 .. q_max when even=True, see pulse_bands).
+
+    H depends on v0, beta, q_max, sign, T_T and the sector, not on tau_p.
+    The eigenbasis of the most recent H is kept (_pulse_eigenbasis), so
+    a run over many durations on one ladder solves it once; a propagator
+    built from the kept eigenbasis is bit-identical to a fresh build.
+    """
+    w, v = _pulse_eigenbasis(spec, beta, q_max, sign, params, even)
+    phases = np.exp(-1j * w * spec.tau_p)
+    return (v * phases) @ v.T
+
+
+# (key, w, v) of the last pulse Hamiltonian that pulse_propagator solved:
+# one real S x S eigenbasis.  The tuple is replaced whole when the key
+# changes, so a concurrent caller reads either the old entry or the new.
+_eigenbasis = None
+
+
+def _pulse_eigenbasis(
+    spec: FinitePulseSpec,
+    beta: float,
+    q_max: int,
+    sign: int,
+    params: PhysicalParams,
+    even: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and (read-only) eigenvectors of the pulse Hamiltonian.
 
     scipy is imported here, so that only the finite-pulse kinds load it:
     dense np.linalg.eigh took 4.7x as long at 321 sites."""
-    from scipy.linalg import eigh_tridiagonal
+    global _eigenbasis
+    key = (spec.v0, beta, q_max, sign, params.talbot_time, even)
+    cached = _eigenbasis
+    if cached is None or cached[0] != key:
+        from scipy.linalg import eigh_tridiagonal
 
-    diag, off = pulse_bands(spec, beta, q_max, sign, params, even)
-    w, v = eigh_tridiagonal(diag, off)
-    phases = np.exp(-1j * w * spec.tau_p)
-    return (v * phases) @ v.T
+        diag, off = pulse_bands(spec, beta, q_max, sign, params, even)
+        w, v = eigh_tridiagonal(diag, off)
+        w.flags.writeable = v.flags.writeable = False
+        cached = _eigenbasis = (key, w, v)
+    return cached[1], cached[2]
 
 
 def run_finite_sequence(
@@ -293,7 +361,8 @@ def finite_return_amplitudes(
         cols = np.nonzero(bet == beta)[0]
         spec = FinitePulseSpec(n_pulses, v0, tau_p, float(np.min(t[cols])))
         out[cols] = _on_ladder(
-            partial(_folded_echo, spec, float(beta), t[cols], params=params),
+            partial(_folded_echo, spec, float(beta), t[cols], params=params,
+                    grown=q_max is None),
             q_max,
             partial(auto_q_max_finite, spec, params),
         )
@@ -306,13 +375,19 @@ def _folded_echo(
     periods: np.ndarray,
     q_max: int,
     params: PhysicalParams,
+    grown: bool = False,
 ) -> np.ndarray:
     """Return amplitudes of one beta fiber from its forward train alone.
 
-    Each pulse product goes into the spare buffer.  The edge gate reads
-    both ends of the full ladder and the top end of the even sector, where
-    an amplitude a_q = sqrt(2) c_q stands for the rungs +q and -q, so it
-    gates |a_q|^2 / 2 (q = 0 is never in the band, as q_max > EDGE_BAND).
+    Pulse k runs on the window of half-width w_k around q = 0: with grown
+    the windows of _pulse_windows, else q_max for every pulse.  It
+    multiplies u[window k, window k-1] (w_0 = 0, the initial rung) into
+    the spare buffer; rows outside the window stay zero.  The edge gate
+    reads the edge band of each pulse's window, where the window
+    truncates: both ends off the even sector, and the top end on it,
+    where an amplitude a_q = sqrt(2) c_q stands for the rungs +q and -q,
+    so it gates |a_q|^2 / 2 (q = 0 is never in the band, as every window
+    is wider than EDGE_BAND).
     """
     even = beta == 0.0
     i0 = 0 if even else q_max
@@ -321,13 +396,17 @@ def _folded_echo(
     u = pulse_propagator(spec, beta, q_max, +1, params, even) if spec.tau_p > 0.0 else None
     amps = np.zeros((qs.size, periods.size), dtype=np.complex128)
     amps[i0, :] = 1.0
-    spare = np.empty_like(amps)
-    for _ in range(spec.n_pulses):
+    spare = np.zeros_like(amps)
+    windows = _pulse_windows(spec, params, q_max) if grown else [q_max] * spec.n_pulses
+    filled = slice(i0, i0 + 1)
+    for w in windows:
+        rows = slice(i0 - (0 if even else w), i0 + w + 1)
         if u is not None:
-            np.matmul(u, amps, out=spare)
+            np.matmul(u[rows, filled], amps[filled], out=spare[rows])
             amps, spare = spare, amps
-        _check_edges(amps, q_max, even, weight=0.5 if even else 1.0)
-        amps *= free
+        _check_edges(amps[rows], w, even, weight=0.5 if even else 1.0)
+        amps[rows] *= free[rows]
+        filled = rows
     _check_norms(amps, "in the batched finite-pulse run")
     return _fold_sum(amps, free, np.where(qs % 2 == 0, 1.0, -1.0), i0)
 

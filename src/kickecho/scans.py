@@ -147,20 +147,27 @@ class ScalingFit:
 def _parabolic_peak(x: np.ndarray, y: np.ndarray, i_max: int) -> tuple[float, float]:
     """Vertex of the parabola through the three samples centered on i_max.
 
-    Falls back to the raw sample when the fit has no downward curvature
-    (flat or degenerate triple).
+    The parabola y1 + b u + a u^2 in the offset u from the middle sample
+    comes in closed form from the divided differences of the samples, in
+    Python floats, so huge controls overflow quietly instead of warning.
+    Falls back to the raw sample unless the curvature a is finite and
+    negative and the vertex lies between the outer samples.
     """
-    xs = x[i_max - 1 : i_max + 2] - x[i_max]
-    ys = y[i_max - 1 : i_max + 2]
-    a, b, c = np.polyfit(xs, ys, 2)
-    if a >= 0.0:
-        return float(x[i_max]), float(y[i_max])
+    x1, y1 = float(x[i_max]), float(y[i_max])
+    h0, h2 = float(x[i_max - 1]) - x1, float(x[i_max + 1]) - x1
+    if not (-math.inf < h0 < 0.0 < h2 < math.inf):
+        return x1, y1
+    d0 = (y1 - float(y[i_max - 1])) / -h0
+    d2 = (float(y[i_max + 1]) - y1) / h2
+    a = (d2 - d0) / (h2 - h0)
+    if not (-math.inf < a < 0.0):
+        return x1, y1
+    b = d0 - a * h0
     xv = -b / (2.0 * a)
-    yv = c - b * b / (4.0 * a)
     # The vertex is only trusted between the neighboring samples.
-    if not (xs[0] <= xv <= xs[2]):
-        return float(x[i_max]), float(y[i_max])
-    return float(x[i_max] + xv), float(yv)
+    if not (h0 <= xv <= h2):
+        return x1, y1
+    return x1 + xv, y1 + 0.5 * b * xv
 
 
 def _half_crossing(

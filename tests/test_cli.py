@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kickecho
 from kickecho import cli, ladder, scans
 from kickecho.analytic import fwhm_accel, fwhm_eps, fwhm_p0
 from kickecho.cli import _format_cell, _render_csv, main, sidecar_path
@@ -320,6 +323,22 @@ def test_engine_failure_exit_code(tmp_path, capsys):
     assert run_cli("fit-scaling", "--config", cfg, "--out", out) == 3
     assert capsys.readouterr().err.startswith("error: engine:")
     assert not os.path.exists(out)
+
+
+def test_huge_scan_window_fails_with_one_line(tmp_path):
+    """A window near 1e300 m/s^2 reaches the peak finder with controls
+    whose squares overflow; its closed-form parabola falls back quietly,
+    so a fresh process prints the one error line and no numpy warning or
+    LAPACK message.  The exit code is not pinned."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kickecho.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "kickecho", "scan-accel", "--out", str(tmp_path / "a.csv"),
+         "--set", "n_kicks=5", "--set", "phi_d=0.5", "--range=1e300:1e301"],
+        env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert done.returncode != 0
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
 
 
 def test_io_failure_exit_code(tmp_path, capsys):

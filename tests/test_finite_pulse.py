@@ -1,6 +1,7 @@
 """Finite-pulse propagation: limits, cross-validated propagators, and the
 independent position-grid oracle."""
 
+import dataclasses
 import logging
 import math
 
@@ -287,6 +288,78 @@ def test_auto_ladders_keep_a_margin_below_the_edge_gate(
             FinitePulseSpec(n_pulses, v0, tau, float(periods[0])), beta, params
         )
     assert max(seen) <= 1e-15
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    log_gamma=st.floats(min_value=math.log(0.5), max_value=math.log(300.0)),
+    n_pulses=st.integers(min_value=1, max_value=64),
+    log_tau=st.floats(min_value=math.log(0.03), max_value=math.log(10.0)),
+    eps=st.floats(min_value=-0.02, max_value=0.02),
+    beta=st.one_of(st.just(0.0), st.floats(min_value=-0.5, max_value=0.5)),
+)
+def test_grown_ladder_matches_the_full_ladder(params, log_gamma, n_pulses, log_tau, eps, beta):
+    """On its own estimate the fold runs pulse k on the window that k
+    pulses need; c_0 equals the run on the full ladder of the same width
+    to 1e-13."""
+    gamma = math.exp(log_gamma)
+    area_cap = 100.0 / (gamma * params.ladder_phase_rate)
+    tau = min(math.exp(log_tau) * 22e-6 / math.sqrt(gamma * n_pulses),
+              0.5 * params.talbot_time, area_cap)
+    v0 = v0_from_gamma(gamma, params)
+    period = params.talbot_time * (1.0 + eps)
+    q_max = auto_q_max_finite(FinitePulseSpec(n_pulses, v0, tau, period), params)
+    grown = finite_return_amplitudes(n_pulses, v0, tau, period, beta, params)
+    full = finite_return_amplitudes(n_pulses, v0, tau, period, beta, params, q_max)
+    assert abs(complex(grown[0]) - complex(full[0])) <= 1e-13
+
+
+def test_pulse_windows_are_the_estimates_of_each_pulse_count(params):
+    """The windows on the engine's estimate are auto_q_max_finite for 1 .. N
+    pulses, end on the ladder, and double with it."""
+    for gamma, n, tau in ((1.0, 128, 1.9e-6), (10.0, 64, 0.9e-6), (100.0, 32, 0.4e-6),
+                          (0.5, 3, 40e-6)):
+        spec = FinitePulseSpec(n, v0_from_gamma(gamma, params), tau, params.talbot_time)
+        q_max = auto_q_max_finite(spec, params)
+        windows = finite_pulse._pulse_windows(spec, params, q_max)
+        want = [auto_q_max_finite(dataclasses.replace(spec, n_pulses=k), params)
+                for k in range(1, n + 1)]
+        assert windows == want and windows[-1] == q_max
+        assert finite_pulse._pulse_windows(spec, params, 2 * q_max) == [2 * w for w in want]
+
+
+def test_pulse_eigenbasis_is_kept_for_one_ladder(params, monkeypatch):
+    """Durations on one ladder share one eigensolve, and the propagator is
+    bit-identical to a fresh build; a different v0, beta, q_max, sign or
+    sector solves again."""
+    import scipy.linalg
+
+    solve = scipy.linalg.eigh_tridiagonal
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    monkeypatch.setattr(finite_pulse, "_eigenbasis", None)
+    v0 = v0_from_gamma(10.0, params)
+    short, long = (FinitePulseSpec(4, v0, tau, params.talbot_time) for tau in (1e-6, 2.5e-6))
+    u_short = pulse_propagator(short, 0.0, 20, +1, params, even=True)
+    u_long = pulse_propagator(long, 0.0, 20, +1, params, even=True)
+    assert len(calls) == 1
+    monkeypatch.setattr(finite_pulse, "_eigenbasis", None)
+    assert np.array_equal(pulse_propagator(long, 0.0, 20, +1, params, even=True), u_long)
+    assert len(calls) == 2
+    assert np.array_equal(pulse_propagator(short, 0.0, 20, +1, params, even=True), u_short)
+    assert len(calls) == 2
+    other = FinitePulseSpec(4, 2.0 * v0, 1e-6, params.talbot_time)
+    for args in ((other, 0.0, 20, +1), (short, 0.1, 20, +1), (short, 0.0, 21, +1),
+                 (short, 0.0, 20, -1)):
+        pulse_propagator(*args, params, even=args[1] == 0.0)
+        pulse_propagator(short, 0.0, 20, +1, params, even=True)
+    pulse_propagator(short, 0.0, 20, +1, params)
+    assert len(calls) == 2 + 2 * 4 + 1
 
 
 @pytest.mark.parametrize("q_max", [8, 12])

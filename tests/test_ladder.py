@@ -722,6 +722,25 @@ def test_momentum_history_sink_gets_the_history_in_bounded_blocks(params):
     assert np.array_equal(np.concatenate([b for _, b in blocks]), history)
 
 
+@pytest.mark.parametrize(
+    "n_kicks, phi_d, detuning, beta, accel",
+    [(20, 0.5, 0.0, 0.0, 0.0), (100, 12.5, 0.0, 0.0, 0.0), (30, 1.0, 2e-9, 0.1, 0.0),
+     (40, 1.0, 0.0, 0.0, 0.01)],
+)
+def test_momentum_history_tile_width_keeps_the_bits(
+    params, monkeypatch, n_kicks, phi_d, detuning, beta, accel
+):
+    """The history's lone column runs in HISTORY_TILE = 4 columns, half the
+    scan engines' KICK_TILE, with the same bits (1- and 2-column tiles
+    changed them)."""
+    seq = SequenceSpec(n_kicks, phi_d, params.talbot_time + detuning, accel)
+    assert ladder.HISTORY_TILE == 4
+    _, narrow = momentum_history(seq, beta, params)
+    monkeypatch.setattr(ladder, "HISTORY_TILE", ladder.KICK_TILE)
+    _, wide = momentum_history(seq, beta, params)
+    assert np.array_equal(narrow, wide)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n_kicks=st.integers(min_value=1, max_value=8),
