@@ -59,7 +59,6 @@ from .errors import (
 from .finite_pulse import (
     FinitePulseSpec,
     auto_q_max_finite,
-    finite_gaussian_output,
     finite_return_amplitudes,
     pulse_propagator,
     run_finite_sequence,
@@ -129,7 +128,6 @@ __all__ = [
     "TruncationError",
     "FinitePulseSpec",
     "auto_q_max_finite",
-    "finite_gaussian_output",
     "finite_return_amplitudes",
     "pulse_propagator",
     "run_finite_sequence",

@@ -39,13 +39,14 @@ about four times.  The folded c_0 depends on the forward state only, so
 the edge and norm gates on that state bound its truncation error.
 run_finite_sequence keeps the full two-train run as the reference.
 
-Grown ladder.  The state after k pulses is the state of a k-pulse
-train, so on its own ladder estimate the fold runs pulse k on a window
-of half-width w_k around q = 0, the estimate for k pulses
-(_pulse_windows); rows above it stay zero.  The edge gate reads the edge
-band of each pulse's window, where that pulse truncates, so it still
-fails closed.  The retry on twice the estimate doubles every window, and
-an explicit q_max runs every pulse on the whole ladder.
+Pulse windows.  The state after k pulses is the state of a k-pulse
+train, so the fold runs pulse k on a window of half-width w_k around
+q = 0, the ladder scaled by the reach estimate for k pulses against N
+(_pulse_windows); rows above it stay zero.  On the fold's own estimate
+w_k is the estimate for k pulses.  The edge gate reads the edge band of
+each pulse's window, where that pulse truncates, so it still fails
+closed.  The retry on twice the estimate doubles every window, and an
+explicit q_max is the last window, as the estimate is.
 
 Eigenbasis cache.  The pulse Hamiltonian depends on v0, beta, q_max,
 the sign, T_T and the sector, not on tau_p.  pulse_propagator keeps the
@@ -67,17 +68,14 @@ from .errors import TruncationError
 from .ladder import (
     EDGE_BAND,
     LadderState,
-    WavepacketSpec,
     _check_edges,
     _check_n_kicks,
     _check_norms,
     _check_q_max,
-    _fiber_average,
     _flat_columns,
     _fold_sum,
     _free_phase,
-    _hermite_rules,
-    auto_q_max,
+    _reach,
     ground_state,
 )
 from .params import HBAR, PhysicalParams, gamma_from_v0
@@ -123,17 +121,9 @@ class FinitePulseSpec:
 def auto_q_max_finite(
     spec: FinitePulseSpec, params: PhysicalParams, trains: int = 1
 ) -> int:
-    """Ladder half-width for an engine that runs k = trains * n_pulses pulses.
-
-    The smaller of two upper estimates of the reachable momentum wins:
-
-    - the Raman-Nath ballistic spread k*phi_d plus its margin
-      (auto_q_max(k, phi_d); short pulses);
-    - the energy bound for long pulses, where kinetic motion during the
-      pulse suppresses momentum transfer: each pulse changes the energy by
-      at most V0, so k pulses reach q_E = sqrt(2*k*gamma), and the ladder
-      is ceil(q_E + 8 + 3*(2*gamma)**(1/6)).  The tail term is the cube
-      root of the single-pulse reach sqrt(2*gamma).
+    """Ladder half-width for an engine that runs k = trains * n_pulses pulses:
+    the reach estimate ladder._reach(k, phi_d, gamma), the Raman-Nath
+    spread of short pulses capped by the energy bound of long ones.
 
     k is n_pulses for the folded engine (finite_return_amplitudes, the
     default trains=1), which runs the forward train only.  The two-train
@@ -149,31 +139,23 @@ def auto_q_max_finite(
     at least the ladder of the wider margin q_E + 16 + 3*q_E**(1/3) used
     before.
     """
-    k = trains * spec.n_pulses
-    rn = auto_q_max(k, spec.phi_d)
-    gamma = max(spec.gamma(params), 0.0)
-    q_energy = math.sqrt(2.0 * k * gamma)
-    en = int(math.ceil(q_energy + 8.0 + 3.0 * (2.0 * gamma) ** (1.0 / 6.0)))
-    return min(rn, en)
+    return int(_reach(trains * spec.n_pulses, spec.phi_d, spec.gamma(params)))
 
 
 def _pulse_windows(spec: FinitePulseSpec, params: PhysicalParams, q_max: int) -> list[int]:
-    """Window half-widths w_1 .. w_N of the folded engine's grown ladder.
+    """Window half-widths w_1 .. w_N of the folded engine on a ladder of
+    half-width q_max.
 
     The state after k pulses is that of a k-pulse train, so pulse k runs
-    on w_k = min(q_max, ceil(q_max * q(k) / q(N))), q(k) the estimate of
-    auto_q_max_finite for k pulses (evaluated here for every k at once),
-    and never on fewer than EDGE_BAND + 1 rungs.  On the engine's own
-    estimate q_max = q(N) that is w_k = q(k); its retry on twice the
-    estimate doubles every window.  The windows never shrink.
+    on w_k = min(q_max, ceil(q_max * q(k) / q(N))), q(k) the reach
+    estimate for k pulses (ladder._reach, the estimate of
+    auto_q_max_finite), and never on fewer than EDGE_BAND + 1 rungs.  The
+    last window is q_max.  On the engine's own estimate q_max = q(N) that
+    is w_k = q(k); its retry on twice the estimate doubles every window,
+    and an explicit q_max scales the windows in the same way.  The
+    windows never shrink.
     """
-    k = np.arange(1.0, spec.n_pulses + 1)
-    s = k * spec.phi_d
-    gamma = max(spec.gamma(params), 0.0)
-    reach = np.minimum(
-        np.ceil(s + 12.0 + 6.0 * s ** (1.0 / 3.0)),
-        np.ceil(np.sqrt(2.0 * k * gamma) + 8.0 + 3.0 * (2.0 * gamma) ** (1.0 / 6.0)),
-    )
+    reach = _reach(np.arange(1, spec.n_pulses + 1), spec.phi_d, spec.gamma(params))
     windows = np.ceil(q_max * reach / reach[-1])
     return np.clip(windows, EDGE_BAND + 1, q_max).astype(int).tolist()
 
@@ -346,7 +328,9 @@ def finite_return_amplitudes(
     that state alone, so they bound its truncation error as they bound the
     error of the full two-train run.  With q_max None each beta group runs
     on auto_q_max_finite(spec, params), and once more on twice that width
-    if a gate fails there; an explicit q_max never retries.
+    if a gate fails there; an explicit q_max never retries.  Either way
+    q_max is the window of the last pulse, and earlier pulses run on the
+    narrower windows of _pulse_windows.
     """
     n_pulses = _check_n_kicks(n_pulses, "n_pulses")
     shape, (t, bet) = _flat_columns("periods and betas", periods, betas)
@@ -361,8 +345,7 @@ def finite_return_amplitudes(
         cols = np.nonzero(bet == beta)[0]
         spec = FinitePulseSpec(n_pulses, v0, tau_p, float(np.min(t[cols])))
         out[cols] = _on_ladder(
-            partial(_folded_echo, spec, float(beta), t[cols], params=params,
-                    grown=q_max is None),
+            partial(_folded_echo, spec, float(beta), t[cols], params=params),
             q_max,
             partial(auto_q_max_finite, spec, params),
         )
@@ -375,14 +358,13 @@ def _folded_echo(
     periods: np.ndarray,
     q_max: int,
     params: PhysicalParams,
-    grown: bool = False,
 ) -> np.ndarray:
     """Return amplitudes of one beta fiber from its forward train alone.
 
-    Pulse k runs on the window of half-width w_k around q = 0: with grown
-    the windows of _pulse_windows, else q_max for every pulse.  It
-    multiplies u[window k, window k-1] (w_0 = 0, the initial rung) into
-    the spare buffer; rows outside the window stay zero.  The edge gate
+    Pulse k runs on the window of half-width w_k around q = 0 that
+    _pulse_windows gives for the ladder q_max.  It multiplies
+    u[window k, window k-1] (w_0 = 0, the initial rung) into the spare
+    buffer; rows outside the window stay zero.  The edge gate
     reads the edge band of each pulse's window, where the window
     truncates: both ends off the even sector, and the top end on it,
     where an amplitude a_q = sqrt(2) c_q stands for the rungs +q and -q,
@@ -397,9 +379,8 @@ def _folded_echo(
     amps = np.zeros((qs.size, periods.size), dtype=np.complex128)
     amps[i0, :] = 1.0
     spare = np.zeros_like(amps)
-    windows = _pulse_windows(spec, params, q_max) if grown else [q_max] * spec.n_pulses
     filled = slice(i0, i0 + 1)
-    for w in windows:
+    for w in _pulse_windows(spec, params, q_max):
         rows = slice(i0 - (0 if even else w), i0 + w + 1)
         if u is not None:
             np.matmul(u[rows, filled], amps[filled], out=spare[rows])
@@ -409,27 +390,3 @@ def _folded_echo(
         filled = rows
     _check_norms(amps, "in the batched finite-pulse run")
     return _fold_sum(amps, free, np.where(qs % 2 == 0, 1.0, -1.0), i0)
-
-
-def finite_gaussian_output(
-    spec: FinitePulseSpec,
-    wavepacket: WavepacketSpec,
-    params: PhysicalParams,
-    tol: float = 1e-4,
-) -> float:
-    """Return probability of a Gaussian wavepacket through a finite-pulse
-    sequence: the squared coherent fiber-amplitude average, as in the
-    delta-kick gaussian_output.
-
-    Finite-pulse sequences have zero acceleration, so parity gives
-    c_0(beta) = c_0(-beta), and only the nodes with beta >= 0 are run
-    (_fiber_average).
-    """
-    return float(_fiber_average(
-        lambda betas: finite_return_amplitudes(
-            spec.n_pulses, spec.v0, spec.tau_p, spec.period, betas, params
-        ),
-        _hermite_rules(wavepacket, params),
-        tol,
-        even=True,
-    ))

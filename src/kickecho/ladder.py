@@ -52,8 +52,7 @@ stays on two trains until the fiber quadrature and that operation
 change together.  It uses parity across fibers instead: at zero
 acceleration c_0(beta) = c_0(-beta) on the truncated ladder, so
 _fiber_average, the one convergence loop of every wavepacket average,
-runs only the Gauss-Hermite nodes with beta >= 0 and mirrors them, for
-this echo and for finite_pulse.finite_gaussian_output alike.
+runs only the Gauss-Hermite nodes with beta >= 0 and mirrors them.
 
 Resonant fibers.  At the period T = T_T the flight of period n is
 linear in the rung, F_n(q) = F_n(0) r_n^q with |r_n| = 1, a translation
@@ -232,17 +231,36 @@ def _check_n_kicks(n_kicks: int, name: str = "n_kicks") -> int:
 
 
 def auto_q_max(n_kicks: int, phi_d: float) -> int:
-    """Ladder half-width for a train of n_kicks kicks of strength phi_d.
+    """Ladder half-width for a train of n_kicks kicks of strength phi_d:
+    the uncapped reach estimate (_reach with gamma = inf)."""
+    return int(_reach(n_kicks, phi_d))
 
-    At resonance the kicks compound ballistically, so the mid-sequence spread
-    is that of a single kick of strength n_kicks*phi_d: support ~ n*phi_d
-    plus a sub-exponential Airy-like tail.  The constant and cube-root
-    margins keep the monitored edge band empty for all tested parameters,
-    including slightly detuned periods where the spread exceeds the resonant
-    estimate.
+
+def _reach(k, phi_d: float, gamma: float = math.inf) -> np.ndarray:
+    """Ladder half-widths that k kicks (or square pulses) of strength phi_d
+    need, for every k of an array at once.
+
+    - Raman-Nath spread: at resonance the kicks compound ballistically, so
+      the mid-sequence spread is that of a single kick of strength
+      s = k*phi_d, support ~ s plus a sub-exponential Airy-like tail.  The
+      margin ceil(s + 12 + 6 s**(1/3)) keeps the monitored edge band empty
+      for all tested parameters, including slightly detuned periods where
+      the spread exceeds the resonant estimate.
+    - Energy bound, for square pulses of depth gamma (finite gamma only):
+      kinetic motion during a long pulse suppresses momentum transfer.
+      Each pulse changes the energy by at most V0, so k pulses reach
+      q_E = sqrt(2*k*gamma), and the ladder is
+      ceil(q_E + 8 + 3*(2*gamma)**(1/6)); the tail term is the cube root of
+      the single-pulse reach sqrt(2*gamma).
+
+    The smaller of the two wins; gamma = inf leaves the spread uncapped.
     """
-    s = n_kicks * phi_d
-    return int(math.ceil(s + 12.0 + 6.0 * s ** (1.0 / 3.0)))
+    k = np.asarray(k, dtype=np.float64)
+    s = k * phi_d
+    return np.minimum(
+        np.ceil(s + 12.0 + 6.0 * s ** (1.0 / 3.0)),
+        np.ceil(np.sqrt(2.0 * k * gamma) + 8.0 + 3.0 * (2.0 * gamma) ** (1.0 / 6.0)),
+    )
 
 
 def kick_kernel(phi_d: float, sign: int = +1) -> np.ndarray:
@@ -583,8 +601,8 @@ def momentum_history(
     is a buffer that is overwritten after the call.  When a gate raises,
     the blocks before the failing kick may have been handed over already.
     """
-    start = ground_state(beta, auto_q_max(seq.n_kicks, seq.phi_d))
-    q_max, qs = start.q_max, start.q_values
+    q_max = auto_q_max(seq.n_kicks, seq.phi_d)
+    qs = np.arange(-q_max, q_max + 1)
     rows = 2 * seq.n_kicks
     if sink is not None:
         rows = min(rows, max(1, HISTORY_BLOCK_CELLS // qs.size))
@@ -604,7 +622,8 @@ def momentum_history(
 
     flight = _accelerated_flight(qs, seq.period, beta, seq.accel, params)
     slabs = _train_slabs(seq.n_kicks, seq.phi_d)
-    amps = _kick_columns(start.amps[:, None], slabs, *flight, record, HISTORY_TILE)
+    start = (qs == 0).astype(np.complex128)[:, None]  # e_0, the q = 0 rung
+    amps = _kick_columns(start, slabs, *flight, record, HISTORY_TILE)
     _check_norms(amps, "over the sequence")
     if sink is None:
         return qs, block

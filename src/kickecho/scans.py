@@ -14,6 +14,7 @@ the worker count.
 
 from __future__ import annotations
 
+import copy
 import functools
 import logging
 import math
@@ -126,9 +127,13 @@ class ScanCurve:
         object.__setattr__(self, "output", np.clip(output, 0.0, 1.0))
 
     def measured(self) -> "ScanCurve":
-        """Return a copy with peak_center and fwhm filled in."""
+        """Return a copy with peak_center and fwhm filled in.  The copy
+        shares the arrays that this curve has already validated, so it is
+        not validated again."""
         fwhm, center = extract_fwhm(self)
-        return ScanCurve(self.control, self.output, peak_center=center, fwhm=fwhm)
+        curve = copy.copy(self)
+        curve.__dict__.update(peak_center=center, fwhm=fwhm)
+        return curve
 
 
 @dataclass(frozen=True)

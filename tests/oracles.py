@@ -8,9 +8,9 @@ No program path runs these; the tests compare the engine against them.
   eigendecomposition of kickecho.finite_pulse.pulse_propagator.
 - splitstep_fiber / splitstep_output: the whole sequence of one fiber on
   a position grid, an independent discretization.
-- delta_wavepacket_grid_output / finite_wavepacket_grid_output: a
-  Gaussian wavepacket on a wide position grid, the cross-check of the
-  fiber-quadrature Gaussian outputs at reduced sigma.
+- delta_wavepacket_grid_output: a Gaussian wavepacket on a wide position
+  grid, the cross-check of the fiber-quadrature Gaussian output at
+  reduced sigma.
 """
 
 from __future__ import annotations
@@ -321,27 +321,4 @@ def delta_wavepacket_grid_output(
         kick = np.exp(-1j * sign * phi_d * cosg)
         for _ in range(n_kicks):
             psi = np.fft.ifft(np.fft.fft(psi * kick) * free)
-    return float(np.abs(np.vdot(psi0, psi)) ** 2)
-
-
-def finite_wavepacket_grid_output(
-    spec: FinitePulseSpec,
-    wavepacket: WavepacketSpec,
-    params: PhysicalParams,
-    n_periods: int | None = None,
-    points_per_period: int | None = None,
-) -> float:
-    """Finite-pulse sequence on a wide position grid (overlap probability
-    |<psi_0|psi_final>|^2); cross-check of finite_gaussian_output at
-    reduced sigma."""
-    psi, cosg, k_rate = _wavepacket_grid(
-        wavepacket, params, auto_q_max_finite(spec, params, trains=2),
-        n_periods, points_per_period,
-    )
-    psi0 = psi.copy()
-    free = np.exp(-1j * k_rate * (spec.period - spec.tau_p))
-    for sign in (+1, -1):
-        for _ in range(spec.n_pulses):
-            psi = _fft_pulse_converged(psi, cosg, k_rate, spec.v0, sign, spec.tau_p)
-            psi = np.fft.ifft(np.fft.fft(psi) * free)
     return float(np.abs(np.vdot(psi0, psi)) ** 2)

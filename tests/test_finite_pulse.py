@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from oracles import (
     GridResolutionError,
     apply_finite_pulse,
-    finite_wavepacket_grid_output,
     splitstep_fiber,
     splitstep_output,
 )
@@ -23,7 +22,6 @@ from kickecho.errors import TruncationError
 from kickecho.finite_pulse import (
     FinitePulseSpec,
     auto_q_max_finite,
-    finite_gaussian_output,
     finite_return_amplitudes,
     pulse_propagator,
     run_finite_sequence,
@@ -31,10 +29,8 @@ from kickecho.finite_pulse import (
 from kickecho.ladder import (
     EDGE_BAND,
     SequenceSpec,
-    WavepacketSpec,
     _check_edges,
     auto_q_max,
-    gaussian_beta_nodes,
     ground_state,
     run_sequence,
 )
@@ -122,6 +118,25 @@ def test_splitstep_oracle_agrees_with_ladder_evolution(params):
         assert splitstep_output(spec, params, beta) == pytest.approx(val, abs=1e-9)
 
 
+def test_fold_meets_the_oracle_bound(params):
+    """Criterion 6's ten draws and bound on the engine the finite-pulse
+    kinds run: the folded c_0 of finite_return_amplitudes is within 1e-6
+    of the position-grid split-step oracle's, phase included."""
+    rng = np.random.default_rng(20260816)
+    worst = 0.0
+    for _ in range(10):
+        gamma = float(rng.uniform(0.5, 15.0))
+        tau = float(rng.uniform(0.3e-6, 3e-6))
+        n = int(rng.integers(1, 9))
+        beta = float(rng.uniform(-0.5, 0.5))
+        period = params.talbot_time * (1.0 + float(rng.uniform(-0.05, 0.05)))
+        spec = FinitePulseSpec(n, v0_from_gamma(gamma, params), tau, period)
+        c0 = finite_return_amplitudes(n, spec.v0, tau, period, beta, params).item()
+        qs_g, c_g = splitstep_fiber(spec, beta, params)
+        worst = max(worst, abs(c0 - c_g[qs_g == 0].item()))
+    assert worst < 1e-6
+
+
 def test_energy_bound_narrows_ladder_for_long_deep_pulses(params):
     """Long deep pulses cannot ballistically reach the Raman-Nath momentum:
     the energy estimate takes over, and the narrowed ladder still conserves
@@ -130,39 +145,6 @@ def test_energy_bound_narrows_ladder_for_long_deep_pulses(params):
     assert auto_q_max_finite(spec, params) < auto_q_max(spec.n_pulses, spec.phi_d)
     _, val = run_finite_sequence(spec, 0.0, params)
     assert 0.0 <= val <= 1.0 + 1e-12
-
-
-def test_gaussian_quadrature_matches_wide_grid(params):
-    """The fiber-quadrature Gaussian output equals the overlap probability
-    from a wide-grid wavepacket run when the packet momentum density fits
-    inside half the ladder spacing."""
-    spec = FinitePulseSpec(2, v0_from_gamma(5.0, params), 1e-6, params.talbot_time)
-    wp = WavepacketSpec(sigma_x=1.5e-6)
-    quad = finite_gaussian_output(spec, wp, params, tol=1e-6)
-    grid = finite_wavepacket_grid_output(spec, wp, params)
-    assert quad == pytest.approx(grid, abs=1e-7)
-
-
-def test_gaussian_output_mirrors_the_nonnegative_nodes(params, monkeypatch):
-    """Only the beta >= 0 Gauss-Hermite nodes are run; mirroring their
-    amplitudes matches running every node to 1e-12 relative."""
-    spec = FinitePulseSpec(8, v0_from_gamma(10.0, params), 1.2e-6, params.talbot_time)
-    wp = WavepacketSpec(sigma_x=5e-6)
-    seen = []
-
-    def spy(*args):
-        seen.append(np.asarray(args[4]))
-        return finite_return_amplitudes(*args)
-
-    monkeypatch.setattr(finite_pulse, "finite_return_amplitudes", spy)
-    folded = finite_gaussian_output(spec, wp, params)
-    assert len(seen) >= 2
-    assert all(b[0] == 0.0 and np.all(b[1:] > 0.0) for b in seen)
-    betas, weights = gaussian_beta_nodes(wp, params, 2 * seen[-1].size - 1)
-    amps = finite_return_amplitudes(
-        spec.n_pulses, spec.v0, spec.tau_p, spec.period, betas, params
-    )
-    assert folded == pytest.approx(abs(np.dot(weights, amps)) ** 2, rel=1e-12)
 
 
 def test_batched_outputs_match_scalar_runs(params):
@@ -290,6 +272,11 @@ def test_auto_ladders_keep_a_margin_below_the_edge_gate(
     assert max(seen) <= 1e-15
 
 
+def _full_ladder_windows(mp):
+    """Run every pulse of the fold on the whole ladder q_max."""
+    mp.setattr(finite_pulse, "_pulse_windows", lambda spec, params, q_max: [q_max] * spec.n_pulses)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     log_gamma=st.floats(min_value=math.log(0.5), max_value=math.log(300.0)),
@@ -300,8 +287,8 @@ def test_auto_ladders_keep_a_margin_below_the_edge_gate(
 )
 def test_grown_ladder_matches_the_full_ladder(params, log_gamma, n_pulses, log_tau, eps, beta):
     """On its own estimate the fold runs pulse k on the window that k
-    pulses need; c_0 equals the run on the full ladder of the same width
-    to 1e-13."""
+    pulses need; c_0 equals the run with every pulse on the full ladder of
+    the same width to 1e-13."""
     gamma = math.exp(log_gamma)
     area_cap = 100.0 / (gamma * params.ladder_phase_rate)
     tau = min(math.exp(log_tau) * 22e-6 / math.sqrt(gamma * n_pulses),
@@ -310,7 +297,9 @@ def test_grown_ladder_matches_the_full_ladder(params, log_gamma, n_pulses, log_t
     period = params.talbot_time * (1.0 + eps)
     q_max = auto_q_max_finite(FinitePulseSpec(n_pulses, v0, tau, period), params)
     grown = finite_return_amplitudes(n_pulses, v0, tau, period, beta, params)
-    full = finite_return_amplitudes(n_pulses, v0, tau, period, beta, params, q_max)
+    with pytest.MonkeyPatch.context() as mp:
+        _full_ladder_windows(mp)
+        full = finite_return_amplitudes(n_pulses, v0, tau, period, beta, params, q_max)
     assert abs(complex(grown[0]) - complex(full[0])) <= 1e-13
 
 
@@ -363,10 +352,12 @@ def test_pulse_eigenbasis_is_kept_for_one_ladder(params, monkeypatch):
 
 
 @pytest.mark.parametrize("q_max", [8, 12])
-def test_even_sector_gate_reports_rung_populations(params, q_max):
+def test_even_sector_gate_reports_rung_populations(params, q_max, monkeypatch):
     """At beta = 0 the fold runs the even sector, whose amplitudes are
     sqrt(2) c_q, and gates half their square: the rung population |c_q|^2
-    that the two-train run gates on the full ladder, at the same pulse."""
+    that the two-train run gates on the full ladder, at the same pulse,
+    when every pulse of the fold runs on the full ladder too."""
+    _full_ladder_windows(monkeypatch)
     spec = FinitePulseSpec(8, v0_from_gamma(10.0, params), 2e-6, 1.01 * params.talbot_time)
     with pytest.raises(TruncationError) as folded:
         finite_return_amplitudes(8, spec.v0, spec.tau_p, spec.period, 0.0, params, q_max)

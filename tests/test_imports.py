@@ -107,3 +107,24 @@ def test_importing_the_cli_builds_no_float_tables(tmp_path):
     )
     lines = done.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("False", "1")
+
+
+def test_importing_the_cli_loads_only_numpy_and_the_standard_library(tmp_path):
+    """A fresh `import kickecho.cli`, the start-up cost of every CLI run,
+    loads kickecho, numpy and standard-library modules only: scipy and any
+    other third-party module load inside the functions that need them."""
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import kickecho.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    loaded = {m.split(".")[0] for m in json.loads(done.stdout.splitlines()[-1])}
+    assert {"kickecho", "numpy"} <= loaded
+    assert loaded - {"kickecho", "numpy"} - sys.stdlib_module_names == set()

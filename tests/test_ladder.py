@@ -632,6 +632,22 @@ def test_return_amplitudes_equal_the_engine_they_choose(
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("engine", sorted(_ENGINES))
+def test_engines_meet_the_perfect_echo_bound(params, engine):
+    """Criterion 1's grid and bound on each engine that return_amplitudes
+    chooses: at T_T, beta = 0 and zero acceleration every echo returns,
+    |I - 1| < 1e-10 for N in (1, 10, 50, 200) and phi_d in (0.1, 0.5, 1)."""
+    t_t = params.talbot_time
+    columns = {"resonant": (0.0, 0.0), "folded": (t_t, 0.0), "batched": (t_t, 0.0, 0.0)}
+    run = getattr(ladder, _ENGINES[engine])
+    worst = 0.0
+    for n_kicks in (1, 10, 50, 200):
+        for phi_d in (0.1, 0.5, 1.0):
+            amp = run(n_kicks, phi_d, *columns[engine], params).item()
+            worst = max(worst, abs(abs(amp) ** 2 - 1.0))
+    assert worst < 1e-10
+
+
 def test_resonant_grid_stays_blocked(params):
     """20001 betas x 33 accels at N = 300, the size of a Gaussian
     acceleration curve's grid: the (betas x 2N) phase factor (183 MiB) is

@@ -21,7 +21,6 @@ from kickecho.errors import (
 from kickecho import ladder, scans
 from kickecho.finite_pulse import (
     FinitePulseSpec,
-    finite_gaussian_output,
     finite_return_amplitudes,
     run_finite_sequence,
 )
@@ -277,6 +276,42 @@ def test_scan_widens_a_too_narrow_window_until_bracketed(params):
     assert g.fwhm == pytest.approx(a, rel=2e-2)
 
 
+def test_scan_validates_once_per_sampled_window(params, monkeypatch):
+    """Each sampled window builds one validated ScanCurve; the measured
+    copy shares its checked arrays and is not validated again.  Covers a
+    widening window, a default window and a finite-pulse scan."""
+    windows, checked = [], []
+    evaluate, post_init = scans._evaluate, ScanCurve.__post_init__
+
+    def spy_evaluate(*args):
+        windows.append(args[3])
+        return evaluate(*args)
+
+    def spy_post_init(curve):
+        post_init(curve)
+        checked.append(curve)
+
+    monkeypatch.setattr(scans, "_evaluate", spy_evaluate)
+    monkeypatch.setattr(ScanCurve, "__post_init__", spy_post_init)
+    spec = SequenceSpec(20, 0.5, params.talbot_time)
+    w = fwhm_eps(20, 0.5, params)
+    finite = FinitePulseSpec(8, v0_from_gamma(10.0, params), 1e-6, params.talbot_time)
+    counts = []
+    for run in (
+        lambda: scan("eps", spec, params, window=(-w / 200.0, w / 200.0), n_points=65),
+        lambda: scan("eps", spec, params, n_points=65),
+        lambda: scan("eps", finite, params, n_points=33),
+    ):
+        windows.clear()
+        checked.clear()
+        curve = run()
+        counts.append(len(windows))
+        assert len(checked) == len(windows)
+        assert curve.control is checked[-1].control and curve.output is checked[-1].output
+        assert math.isfinite(curve.fwhm) and math.isfinite(curve.peak_center)
+    assert counts[0] == 6  # w/100 wide, then 3, 9, 27, 81 and 243 times that
+
+
 def test_finite_scan_below_the_floor_fails_at_once(params, monkeypatch):
     """A finite-pulse window whose output stays below NO_PEAK_FLOOR raises
     on the first window instead of widening.  The stand-in engine returns
@@ -342,11 +377,9 @@ def test_quadrature_caps_raise_convergence_error(params, monkeypatch):
     monkeypatch.setattr(scans, "ACCEL_CURVE_TOL", 0.0)
     wp = WavepacketSpec(sigma_x=1e-4)
     seq = SequenceSpec(10, 0.5, params.talbot_time)
-    finite = FinitePulseSpec(4, v0_from_gamma(10.0, params), 1e-6, params.talbot_time)
     accels = np.linspace(0.0, 2.0 * fwhm_accel(10, 0.5, params), 3)
     for run in (
         lambda: gaussian_output(seq, wp, params, tol=0.0),
-        lambda: finite_gaussian_output(finite, wp, params, tol=0.0),
         lambda: gaussian_accel_curve(10, 0.5, accels, wp, params),
     ):
         with pytest.raises(ConvergenceError) as err:
