@@ -49,10 +49,12 @@ closed.  The retry on twice the estimate doubles every window, and an
 explicit q_max is the last window, as the estimate is.
 
 Eigenbasis cache.  The pulse Hamiltonian depends on v0, beta, q_max,
-the sign, T_T and the sector, not on tau_p.  pulse_propagator keeps the
+the sign, T_T and the sector, not on tau_p.  _pulse_eigenbasis is an
+lru_cache of size one on exactly those arguments, so it holds the
 eigenbasis of the most recent Hamiltonian, one real S x S matrix, and
-builds each duration's propagator from it, bit-identical to a fresh
-build, so the width search's durations on one ladder share one solve.
+pulse_propagator builds each duration's propagator from it,
+bit-identical to a fresh build: the width search's durations on one
+ladder share one solve.  The module keeps no other state.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -72,6 +74,7 @@ from .ladder import (
     _check_n_kicks,
     _check_norms,
     _check_q_max,
+    _check_sign,
     _flat_columns,
     _fold_sum,
     _free_phase,
@@ -177,34 +180,6 @@ def _on_ladder(run, q_max: int | None, estimate) -> np.ndarray:
         return run(2 * q_auto)
 
 
-def pulse_bands(
-    spec: FinitePulseSpec,
-    beta: float,
-    q_max: int,
-    sign: int,
-    params: PhysicalParams,
-    even: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tridiagonal pulse Hamiltonian in angular-frequency units (H/hbar).
-
-    Returns (diagonal, off-diagonal): kinetic rates (q+beta)^2 * 2*pi/T_T
-    and uniform couplings sign*v0/(4*hbar).  With even=True (beta = 0
-    only) the Hamiltonian is restricted to the even sector q = 0 .. q_max
-    in the basis |0>, (|q> + |-q>)/sqrt(2); there the 0-1 coupling is
-    sqrt(2) times the others.
-    """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if even and beta != 0.0:
-        raise ValueError(f"the even sector exists only at beta = 0, got {beta!r}")
-    qs = np.arange(0 if even else -q_max, q_max + 1)
-    diag = (qs + beta) ** 2 * (2.0 * math.pi / params.talbot_time)
-    off = np.full(qs.size - 1, sign * spec.v0 / (4.0 * HBAR))
-    if even:
-        off[:1] *= math.sqrt(2.0)
-    return diag, off
-
-
 def pulse_propagator(
     spec: FinitePulseSpec,
     beta: float,
@@ -215,47 +190,44 @@ def pulse_propagator(
 ) -> np.ndarray:
     """Dense unitary exp(-i*H*tau_p/hbar) = V exp(-i*w*tau_p) V^T from the
     tridiagonal eigendecomposition H = V diag(w) V^T (on the even sector
-    q = 0 .. q_max when even=True, see pulse_bands).
+    q = 0 .. q_max when even=True, beta = 0 only; see _pulse_eigenbasis).
 
     H depends on v0, beta, q_max, sign, T_T and the sector, not on tau_p.
-    The eigenbasis of the most recent H is kept (_pulse_eigenbasis), so
-    a run over many durations on one ladder solves it once; a propagator
-    built from the kept eigenbasis is bit-identical to a fresh build.
+    The eigenbasis of the most recent H is cached, so a run over many
+    durations on one ladder solves it once; a propagator built from the
+    cached eigenbasis is bit-identical to a fresh build.
     """
-    w, v = _pulse_eigenbasis(spec, beta, q_max, sign, params, even)
-    phases = np.exp(-1j * w * spec.tau_p)
-    return (v * phases) @ v.T
+    _check_sign(sign)
+    if even and beta != 0.0:
+        raise ValueError(f"the even sector exists only at beta = 0, got {beta!r}")
+    w, v = _pulse_eigenbasis(spec.v0, beta, q_max, sign, params.talbot_time, even)
+    return (v * np.exp(-1j * w * spec.tau_p)) @ v.T
 
 
-# (key, w, v) of the last pulse Hamiltonian that pulse_propagator solved:
-# one real S x S eigenbasis.  The tuple is replaced whole when the key
-# changes, so a concurrent caller reads either the old entry or the new.
-_eigenbasis = None
-
-
+@lru_cache(maxsize=1)
 def _pulse_eigenbasis(
-    spec: FinitePulseSpec,
-    beta: float,
-    q_max: int,
-    sign: int,
-    params: PhysicalParams,
-    even: bool,
+    v0: float, beta: float, q_max: int, sign: int, talbot_time: float, even: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and (read-only) eigenvectors of the pulse Hamiltonian.
+    """Eigenvalues and (read-only) eigenvectors of the tridiagonal pulse
+    Hamiltonian H/hbar in angular-frequency units: kinetic rates
+    (q+beta)^2 * 2*pi/T_T on the diagonal, uniform couplings
+    sign*v0/(4*hbar) off it.  With even=True the Hamiltonian is
+    restricted to the even sector q = 0 .. q_max in the basis |0>,
+    (|q> + |-q>)/sqrt(2); there the 0-1 coupling is sqrt(2) times the
+    others.
 
     scipy is imported here, so that only the finite-pulse kinds load it:
     dense np.linalg.eigh took 4.7x as long at 321 sites."""
-    global _eigenbasis
-    key = (spec.v0, beta, q_max, sign, params.talbot_time, even)
-    cached = _eigenbasis
-    if cached is None or cached[0] != key:
-        from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg import eigh_tridiagonal
 
-        diag, off = pulse_bands(spec, beta, q_max, sign, params, even)
-        w, v = eigh_tridiagonal(diag, off)
-        w.flags.writeable = v.flags.writeable = False
-        cached = _eigenbasis = (key, w, v)
-    return cached[1], cached[2]
+    qs = np.arange(0 if even else -q_max, q_max + 1)
+    diag = (qs + beta) ** 2 * (2.0 * math.pi / talbot_time)
+    off = np.full(qs.size - 1, sign * v0 / (4.0 * HBAR))
+    if even:
+        off[:1] *= math.sqrt(2.0)
+    w, v = eigh_tridiagonal(diag, off)
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
 
 
 def run_finite_sequence(

@@ -331,13 +331,13 @@ def test_pulse_eigenbasis_is_kept_for_one_ladder(params, monkeypatch):
         return solve(*args, **kw)
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
-    monkeypatch.setattr(finite_pulse, "_eigenbasis", None)
+    finite_pulse._pulse_eigenbasis.cache_clear()
     v0 = v0_from_gamma(10.0, params)
     short, long = (FinitePulseSpec(4, v0, tau, params.talbot_time) for tau in (1e-6, 2.5e-6))
     u_short = pulse_propagator(short, 0.0, 20, +1, params, even=True)
     u_long = pulse_propagator(long, 0.0, 20, +1, params, even=True)
     assert len(calls) == 1
-    monkeypatch.setattr(finite_pulse, "_eigenbasis", None)
+    finite_pulse._pulse_eigenbasis.cache_clear()
     assert np.array_equal(pulse_propagator(long, 0.0, 20, +1, params, even=True), u_long)
     assert len(calls) == 2
     assert np.array_equal(pulse_propagator(short, 0.0, 20, +1, params, even=True), u_short)
