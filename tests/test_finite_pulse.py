@@ -245,6 +245,8 @@ def _edge_spy(mp, seen):
     widths=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=3),
     beta=st.one_of(st.just(0.0), st.floats(min_value=-0.5, max_value=0.5)),
 )
+# A half-Talbot pulse at gamma = 1, the least margin of the energy bound.
+@example(log_gamma=0.0, n_pulses=29, log_tau=2.25, multiple=1, widths=[0.0], beta=0.0)
 def test_auto_ladders_keep_a_margin_below_the_edge_gate(
     params, log_gamma, n_pulses, log_tau, multiple, widths, beta
 ):
