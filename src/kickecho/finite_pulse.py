@@ -341,7 +341,8 @@ def _folded_echo(
     truncates: both ends off the even sector, and the top end on it,
     where an amplitude a_q = sqrt(2) c_q stands for the rungs +q and -q,
     so it gates |a_q|^2 / 2 (q = 0 is never in the band, as every window
-    is wider than EDGE_BAND).
+    is wider than EDGE_BAND).  A gate failure names the ladder q_max,
+    which the caller sets and the retry doubles, not the window.
     """
     even = beta == 0.0
     i0 = 0 if even else q_max
@@ -357,7 +358,7 @@ def _folded_echo(
         if u is not None:
             np.matmul(u[rows, filled], amps[filled], out=spare[rows])
             amps, spare = spare, amps
-        _check_edges(amps[rows], w, even, weight=0.5 if even else 1.0)
+        _check_edges(amps[rows], q_max, even, weight=0.5 if even else 1.0)
         amps[rows] *= free[rows]
         filled = rows
     _check_norms(amps, "in the batched finite-pulse run")

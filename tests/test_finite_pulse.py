@@ -368,6 +368,16 @@ def test_even_sector_gate_reports_rung_populations(params, q_max, monkeypatch):
     assert str(folded.value) == str(full.value)
 
 
+@pytest.mark.parametrize("q_max", [8, 12])
+def test_fold_gate_names_the_ladder_the_caller_set(params, q_max):
+    """A gate failure of the fold names the explicit ladder q_max, the
+    width a caller can widen, not the narrower window of the pulse that
+    failed."""
+    v0 = v0_from_gamma(10.0, params)
+    with pytest.raises(TruncationError, match=rf"on ladder with q_max = {q_max};"):
+        finite_return_amplitudes(8, v0, 2e-6, 1.01 * params.talbot_time, 0.0, params, q_max)
+
+
 def test_non_finite_inputs_fail_closed(params):
     t_t = params.talbot_time
     with pytest.raises(ValueError, match="finite"):
