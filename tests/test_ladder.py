@@ -139,7 +139,9 @@ def test_banded_kick_matches_convolution(phi_d, q_max, sign, even, columns, seed
     rotated back, is the Bessel convolution of apply_kick: on the full
     ladder, and on the even sector, whose rows -D .. -1 the mirror fills
     with c'_-q = (-1)^q c'_q.  Covers ladders narrower than the kernel
-    half-width D and the cap-sized q_max = 2600."""
+    half-width D and the cap-sized q_max = 2600.  On the small ladders its
+    first column also matches the kick on a position grid (_grid_kick),
+    which uses no Bessel sums."""
     rng = np.random.default_rng(seed)
     qs = np.arange(-q_max, q_max + 1)
     amps = rng.standard_normal((qs.size, columns)) + 1j * rng.standard_normal((qs.size, columns))
@@ -161,6 +163,9 @@ def test_banded_kick_matches_convolution(phi_d, q_max, sign, even, columns, seed
     kicked = kicked * _i_power(-qs)
     rows = qs >= 0 if even else slice(None)
     assert np.max(np.abs(kicked[rows] - expected[rows])) <= 1e-14
+    if q_max <= 80:
+        grid = _grid_kick(LadderState(0.0, q_max, amps[:, 0]), phi_d, sign)
+        assert np.max(np.abs(kicked[rows, 0] - grid[qs + q_max][rows])) <= 1e-13
 
 
 @pytest.mark.parametrize("phi_d", [1.25, 100.0])
