@@ -200,7 +200,8 @@ def pulse_propagator(
     _check_sign(sign)
     if even and beta != 0.0:
         raise ValueError(f"the even sector exists only at beta = 0, got {beta!r}")
-    w, v = _pulse_eigenbasis(spec.v0, beta, q_max, sign, params.talbot_time, even)
+    # float() keeps a 0-d array beta a hashable cache key.
+    w, v = _pulse_eigenbasis(spec.v0, float(beta), q_max, sign, params.talbot_time, even)
     return (v * np.exp(-1j * w * spec.tau_p)) @ v.T
 
 

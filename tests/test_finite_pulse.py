@@ -322,7 +322,7 @@ def test_pulse_windows_are_the_estimates_of_each_pulse_count(params):
 def test_pulse_eigenbasis_is_kept_for_one_ladder(params, monkeypatch):
     """Durations on one ladder share one eigensolve, and the propagator is
     bit-identical to a fresh build; a different v0, beta, q_max, sign or
-    sector solves again."""
+    sector solves again.  A 0-d array beta keys the cache as its float."""
     import scipy.linalg
 
     solve = scipy.linalg.eigh_tridiagonal
@@ -351,6 +351,9 @@ def test_pulse_eigenbasis_is_kept_for_one_ladder(params, monkeypatch):
         pulse_propagator(short, 0.0, 20, +1, params, even=True)
     pulse_propagator(short, 0.0, 20, +1, params)
     assert len(calls) == 2 + 2 * 4 + 1
+    u = pulse_propagator(short, np.array(0.1), 20, +1, params)
+    assert np.array_equal(u, pulse_propagator(short, 0.1, 20, +1, params))
+    assert len(calls) == 2 + 2 * 4 + 2
 
 
 @pytest.mark.parametrize("q_max", [8, 12])
