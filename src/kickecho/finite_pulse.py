@@ -49,12 +49,11 @@ closed.  The retry on twice the estimate doubles every window, and an
 explicit q_max is the last window, as the estimate is.
 
 Eigenbasis cache.  The pulse Hamiltonian depends on v0, beta, q_max,
-the sign, T_T and the sector, not on tau_p.  _pulse_eigenbasis is an
-lru_cache of size one on exactly those arguments, so it holds the
-eigenbasis of the most recent Hamiltonian, one real S x S matrix, and
-pulse_propagator builds each duration's propagator from it,
-bit-identical to a fresh build: the width search's durations on one
-ladder share one solve.  The module keeps no other state.
+the sign, T_T and the sector, not on tau_p.  _pulse_eigenbasis, an
+lru_cache of size one on those arguments and the module's only state,
+holds the eigenbasis of the most recent one; pulse_propagator builds
+each duration's propagator from it, bit-identical to a fresh build, so
+the width search's durations on one ladder share one solve.
 """
 
 from __future__ import annotations
@@ -190,12 +189,8 @@ def pulse_propagator(
 ) -> np.ndarray:
     """Dense unitary exp(-i*H*tau_p/hbar) = V exp(-i*w*tau_p) V^T from the
     tridiagonal eigendecomposition H = V diag(w) V^T (on the even sector
-    q = 0 .. q_max when even=True, beta = 0 only; see _pulse_eigenbasis).
-
-    H depends on v0, beta, q_max, sign, T_T and the sector, not on tau_p.
-    The eigenbasis of the most recent H is cached, so a run over many
-    durations on one ladder solves it once; a propagator built from the
-    cached eigenbasis is bit-identical to a fresh build.
+    q = 0 .. q_max when even=True, beta = 0 only), with V and w from
+    the cache of _pulse_eigenbasis (module docstring).
     """
     _check_sign(sign)
     if even and beta != 0.0:

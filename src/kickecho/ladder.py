@@ -251,11 +251,10 @@ def _reach(k, phi_d: float, gamma: float = math.inf) -> np.ndarray:
       Each pulse changes the energy by at most V0, so k pulses reach
       q_E = sqrt(2*k*gamma), and the ladder is
       ceil(q_E + 9 + 3*(2*gamma)**(1/6)); the tail term is the cube root of
-      the single-pulse reach sqrt(2*gamma).  The stated margin: on these
-      ladders both finite-pulse engines keep the edge band at or below
-      1e-15, three decades under EDGE_TOL, across the config caps.  The
-      thinnest draw found is a half-Talbot pulse at gamma = 1, N = 29,
-      where a constant of 8 left 1.65e-15 and 9 leaves 7.8e-18.
+      the single-pulse reach sqrt(2*gamma).  Stated margin: both finite
+      engines keep their edge band <= 1e-15, EDGE_TOL / 1000, across the
+      config caps; the thinnest draw found, a half-Talbot pulse at
+      gamma = 1, N = 29, reads 7.8e-18 (1.65e-15 with 8 in place of 9).
 
     The smaller of the two wins; gamma = inf leaves the spread uncapped.
     """
