@@ -443,12 +443,10 @@ def _run_peak_shift(config: RunConfig, fh: BinaryIO):
     params = config.physical_params()
     gamma = config["gamma"]
     tau_p = config["tau_p_us"] * 1e-6
-    shifts = [
-        measure_peak_shift(config["n_kicks"], gamma, tau_p, multiple, params)
-        for multiple in range(1, config["multiples"] + 1)
-    ]
+    multiples = range(1, config["multiples"] + 1)
+    shifts = measure_peak_shift(config["n_kicks"], gamma, tau_p, multiples, params)
     header = ["multiple_l", "delta_eps_s"]
-    rows = [[l + 1, shift] for l, shift in enumerate(shifts)]
+    rows = [[l, shift] for l, shift in zip(multiples, shifts)]
     _write_csv(fh, header, rows)
     spec = FinitePulseSpec(
         config["n_kicks"], v0_from_gamma(gamma, params), tau_p, params.talbot_time

@@ -20,7 +20,7 @@ import logging
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -77,7 +77,7 @@ TAU_SETTLED_DESCENT = 3
 ACCEL_CURVE_TOL = 1e-3
 ACCEL_MAX_DENSITY = 64.0
 
-# Timing samples of the dense scan of measure_peak_shift.
+# Timing samples of each scan of measure_peak_shift.
 PEAK_SHIFT_POINTS = 301
 
 
@@ -560,11 +560,11 @@ def _finite_width(
     center: float,
     n_points: int = 65,
 ) -> tuple[float, float]:
-    """Width and absolute peak period of the timing peak of a finite-pulse
+    """Width and offset from center of the timing peak of a finite-pulse
     sequence with period center, measured by `scan` on its default window."""
     spec = FinitePulseSpec(n_pulses=n_pulses, v0=v0, tau_p=tau_p, period=center)
     curve = scan("eps", spec, params, n_points=n_points)
-    return curve.fwhm, center + curve.peak_center
+    return curve.fwhm, curve.peak_center
 
 
 def _walk_until_turned(
@@ -839,50 +839,44 @@ def measure_peak_shift(
     n_pulses: int,
     gamma: float,
     tau_p: float,
-    multiple_l: int,
+    multiples: Iterable[int],
     params: PhysicalParams,
-) -> float:
-    """Offset of the timing peak from the l-th resonance multiple.
+) -> list[float]:
+    """Offsets of the timing peak from the resonance multiples l * T_T.
 
     Finite pulses shift the echo peak slightly off the exact resonance
-    period.  The shift is measured by a dense timing scan of +-0.75
-    widths around l * T_T (PEAK_SHIFT_POINTS samples) with a least-squares
-    parabola through the samples within +-0.3 widths of the maximum.  The
-    fit window is chosen by index, round(0.2 * (PEAK_SHIFT_POINTS - 1))
-    samples on each side clipped to the grid, so rounding of the width cannot add or drop an edge sample.
+    period.  The l = 1 peak is measured once, by _finite_width: its width w
+    and its offset c.  Each multiple l is then a timing `scan` of
+    c +- 0.75 w around l * T_T on PEAK_SHIFT_POINTS samples, read by
+    extract_fwhm like every scan.  Every multiple thus samples the same
+    offsets, so the shifts can be differenced without grid bias.  The
+    window is centred on c because the shift reaches 0.44 w at
+    (gamma, N) = (100, 16), tau_p = 22 us / sqrt(gamma N): about zero
+    offset, the right half crossing would leave the window, which would
+    widen threefold and coarsen the peak's three-sample vertex.
 
-    The scan grid of offsets is always derived from the measured width
-    at l = 1, so calls with different l sample identical offsets around
-    their respective centers and the extracted shifts can be differenced
-    without grid bias.
+    Parameters
+    ----------
+    multiples : iterable of int
+        Positive resonance multiples l; a bare int raises TypeError.
 
     Returns
     -------
-    delta_eps : peak period minus l * T_T, in seconds.
+    One shift per multiple, in order: peak period minus l * T_T, in seconds.
     """
-    if multiple_l < 1 or multiple_l != int(multiple_l):
-        raise ValueError(f"multiple_l must be a positive integer, got {multiple_l!r}")
+    multiples = [_check_n_kicks(l, "multiple") for l in multiples]
+    if not multiples:
+        raise ValueError("need at least one resonance multiple")
     v0 = v0_from_gamma(gamma, params)
     t_t = params.talbot_time
-
-    # Reference width from the first multiple regardless of requested l.
-    w_ref, _ = _finite_width(n_pulses, v0, tau_p, params, center=t_t)
-
-    center = multiple_l * t_t
-    spec = FinitePulseSpec(n_pulses=n_pulses, v0=v0, tau_p=tau_p, period=center)
-    offsets = np.linspace(-0.75 * w_ref, 0.75 * w_ref, PEAK_SHIFT_POINTS)
-    output = _outputs(spec, params, "eps", offsets)
-
-    i_max = int(np.argmax(output))
-    if i_max == 0 or i_max == output.size - 1:
-        raise PeakNotBracketedError(
-            f"timing peak near {multiple_l} * T_T lies outside the scan window"
-        )
-    half = round(0.2 * (PEAK_SHIFT_POINTS - 1))
-    sel = slice(max(i_max - half, 0), min(i_max + half + 1, PEAK_SHIFT_POINTS))
-    a, b, _ = np.polyfit(offsets[sel] - offsets[i_max], output[sel], 2)
-    if a >= 0.0:
-        raise PeakNotBracketedError(
-            f"no concave timing peak near {multiple_l} * T_T"
-        )
-    return float(offsets[i_max] - b / (2.0 * a))
+    w, c = _finite_width(n_pulses, v0, tau_p, params, center=t_t)
+    return [
+        scan(
+            "eps",
+            FinitePulseSpec(n_pulses, v0, tau_p, l * t_t),
+            params,
+            window=(c - 0.75 * w, c + 0.75 * w),
+            n_points=PEAK_SHIFT_POINTS,
+        ).peak_center
+        for l in multiples
+    ]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import optimize, special
 
 from kickecho.analytic import X_HALF, fwhm_accel, fwhm_eps, fwhm_p0
 from kickecho.errors import (
@@ -657,31 +657,68 @@ def test_gaussian_accel_scan_requires_symmetric_window(params):
 
 
 def test_peak_shift_is_stable_across_resonance_multiples(params):
-    d1 = measure_peak_shift(4, 10.0, 2e-6, 1, params)
-    d2 = measure_peak_shift(4, 10.0, 2e-6, 2, params)
+    d1, d2 = measure_peak_shift(4, 10.0, 2e-6, (1, 2), params)
     assert d1 != 0.0
     assert abs(d1 - d2) < 1e-10 * abs(d1)
 
 
-def test_peak_shift_fits_a_symmetric_index_window(params, monkeypatch):
-    """The parabola through the timing peak takes round(0.2 * 300) = 60
-    samples on each side of the maximum of the 301-point scan, so rounding
-    of the reference width cannot add or drop an edge sample."""
-    fitted = []
-    polyfit = np.polyfit
+def test_peak_shift_samples_identical_offsets_at_every_multiple(params, monkeypatch):
+    """One call measures the l = 1 width once; every multiple is then a
+    PEAK_SHIFT_POINTS-sample timing scan of the same offsets, so the shifts
+    difference without grid bias."""
+    sampled = []
+    evaluate = scans._evaluate
 
-    def spy(x, y, deg):
-        fitted.append(np.asarray(x))
-        return polyfit(x, y, deg)
+    def spy(spec, params, axis, values, workers):
+        sampled.append((spec.period, values.copy()))
+        return evaluate(spec, params, axis, values, workers)
 
-    monkeypatch.setattr(np, "polyfit", spy)
-    measure_peak_shift(4, 10.0, 2e-6, 1, params)
-    x = fitted[-1]
-    assert x.size == 2 * 60 + 1
-    assert x[60] == 0.0
-    np.testing.assert_allclose(x + x[::-1], 0.0, atol=1e-12 * np.max(np.abs(x)))
+    monkeypatch.setattr(scans, "_evaluate", spy)
+    measure_peak_shift(4, 10.0, 2e-6, (1, 2, 3), params)
+    t_t = params.talbot_time
+    dense = [(period, values) for period, values in sampled
+             if values.size == scans.PEAK_SHIFT_POINTS]
+    assert [period for period, _ in dense] == [l * t_t for l in (1, 2, 3)]
+    assert all(np.array_equal(values, dense[0][1]) for _, values in dense)
+    # The width is measured only at the first multiple.
+    assert all(period == t_t for period, values in sampled
+               if values.size != scans.PEAK_SHIFT_POINTS)
+
+
+@pytest.mark.parametrize("gamma", [10.0, 100.0])
+def test_peak_shift_reads_the_engine_maximum(params, gamma):
+    """At (gamma, N) = (10, 16) and (100, 16), tau = 22 us / sqrt(gamma N),
+    the shift lies within 1e-5 relative of the maximum of the engine output,
+    found by Brent's method in the offset u = eps / w in l = 1 widths.  In
+    seconds the search would stop at scipy's absolute floor of 1e-11 on x,
+    a few percent of these shifts (1.75e-9 and 5.6e-10 s).  A least-squares
+    parabola through 121 of 301 samples read 0.55-0.70 % below the
+    maximum; the three-sample vertex reads 2.6e-6 and 3.1e-6 below it."""
+    n_pulses = 16
+    tau = 22e-6 / math.sqrt(gamma * n_pulses)
+    v0 = v0_from_gamma(gamma, params)
+    t_t = params.talbot_time
+    (shift,) = measure_peak_shift(n_pulses, gamma, tau, (1,), params)
+    w, _ = scans._finite_width(n_pulses, v0, tau, params, t_t)
+
+    def minus_output(u):
+        amps = finite_return_amplitudes(n_pulses, v0, tau, t_t + u * w, 0.0, params)
+        return -float(np.abs(amps[0]) ** 2)
+
+    u0 = shift / w
+    best = optimize.minimize_scalar(
+        minus_output, bracket=(u0 - 0.25, u0, u0 + 0.25), method="brent", tol=1e-12
+    )
+    assert best.success
+    # approx adds an absolute 1e-12 unless told otherwise; these shifts are
+    # about 1e-9 s.
+    assert shift == pytest.approx(best.x * w, rel=1e-5, abs=0.0)
 
 
 def test_peak_shift_validation(params):
-    with pytest.raises(ValueError):
-        measure_peak_shift(4, 10.0, 2e-6, 0, params)
+    for multiples in ((0,), (1, -2), ()):
+        with pytest.raises(ValueError):
+            measure_peak_shift(4, 10.0, 2e-6, multiples, params)
+    # A bare int is not a count of multiples.
+    with pytest.raises((TypeError, ValueError)):
+        measure_peak_shift(4, 10.0, 2e-6, 2, params)
