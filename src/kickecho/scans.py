@@ -80,6 +80,9 @@ ACCEL_MAX_DENSITY = 64.0
 # Timing samples of each scan of measure_peak_shift.
 PEAK_SHIFT_POINTS = 301
 
+# Timing samples of each window of find_tau_min's width measurements.
+TAU_WIDTH_POINTS = 33
+
 
 @dataclass(frozen=True)
 class ScanCurve:
@@ -175,13 +178,83 @@ def _parabolic_peak(x: np.ndarray, y: np.ndarray, i_max: int) -> tuple[float, fl
     return x1 + xv, y1 + 0.5 * b * xv
 
 
+def _cubic_root(t0: float, t3: float, g: tuple[float, float, float, float]) -> float:
+    """First root in [0, 1] of the cubic through (t0, g0), (0, g1), (1, g2)
+    and (t3, g3), with t0 < 0 < 1 < t3 and g1 >= 0 > g2; nan if the cubic
+    is not finite or rounding leaves no sign change in [0, 1].
+
+    The cubic is split at its critical points, so the first piece that
+    changes sign is monotone; its root comes from Newton steps kept
+    inside the piece by bisection.
+    """
+    g0, g1, g2, g3 = g
+    if g1 == 0.0:
+        return 0.0
+    # Divided differences, then the power form c0 + c1 t + c2 t^2 + c3 t^3.
+    d01, d12, d23 = (g1 - g0) / -t0, g2 - g1, (g3 - g2) / (t3 - 1.0)
+    d012, d123 = (d12 - d01) / (1.0 - t0), (d23 - d12) / t3
+    c3 = (d123 - d012) / (t3 - t0)
+    c2 = d012 - c3 * (1.0 + t0)
+    c1 = d12 - d012 + c3 * t0
+    c0 = g1
+    if not math.isfinite(c1 + c2 + c3):
+        return math.nan
+
+    def p(t: float) -> float:
+        return c0 + t * (c1 + t * (c2 + t * c3))
+
+    # Critical points inside (0, 1): roots of c1 + 2 c2 t + 3 c3 t^2.
+    a, b = 3.0 * c3, 2.0 * c2
+    if a == 0.0:
+        crit = [-c1 / b] if b != 0.0 else []
+    else:
+        disc = b * b - 4.0 * a * c1
+        if disc > 0.0:
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            crit = sorted([q / a, c1 / q] if q != 0.0 else [q / a])
+        else:
+            crit = []
+    lo, p_lo = 0.0, c0
+    for hi in [t for t in crit if 0.0 < t < 1.0] + [1.0]:
+        p_hi = p(hi)
+        if p_hi <= 0.0:
+            break
+        lo, p_lo = hi, p_hi
+    else:
+        return math.nan
+    if p_hi == 0.0:
+        return hi
+    # p falls monotonically from p_lo > 0 to p_hi < 0 on [lo, hi].
+    t = lo + p_lo / (p_lo - p_hi) * (hi - lo)
+    for _ in range(64):
+        pt = p(t)
+        if pt == 0.0:
+            return t
+        if pt > 0.0:
+            lo = t
+        else:
+            hi = t
+        slope = c1 + t * (2.0 * c2 + t * 3.0 * c3)
+        step = t - pt / slope if slope != 0.0 else math.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - t) <= 1e-15:
+            return step
+        t = step
+    return t
+
+
 def _half_crossing(
     x: np.ndarray, y: np.ndarray, i_max: int, half: float, direction: int
 ) -> float:
     """Nearest half-level crossing walking away from i_max.
 
-    direction is -1 (left) or +1 (right).  Linear interpolation between
-    the first sample below the half level and its inward neighbor.
+    direction is -1 (left) or +1 (right).  The crossing lies between the
+    first sample j below the half level and its inward neighbor i.  It is
+    the first root, walking outward from i, of the cubic through i, j and
+    their outer neighbors.  Where a neighbor is missing or the cubic gives
+    no root there, it is read from the line through i and j.  The reading
+    runs on Python floats.
     """
     i = i_max
     while True:
@@ -193,10 +266,23 @@ def _half_crossing(
                 f"of the scan range"
             )
         if y[j] < half:
-            # Crossing between samples i and j.
-            frac = (half - y[i]) / (y[j] - y[i])
-            return float(x[i] + frac * (x[j] - x[i]))
+            break
         i = j
+    # Crossing between samples i and j.
+    xi, xj = float(x[i]), float(x[j])
+    yi, yj = float(y[i]), float(y[j])
+    k, m = i - direction, j + direction
+    if 0 <= k < x.size and 0 <= m < x.size:
+        h = xj - xi
+        t0, t3 = (float(x[k]) - xi) / h, (float(x[m]) - xi) / h
+        if -math.inf < t0 < 0.0 and 1.0 < t3 < math.inf:
+            t = _cubic_root(
+                t0, t3, (float(y[k]) - half, yi - half, yj - half, float(y[m]) - half)
+            )
+            if not math.isnan(t):
+                return xi + t * h
+    frac = (half - yi) / (yj - yi)
+    return xi + frac * (xj - xi)
 
 
 def extract_fwhm(curve: ScanCurve) -> tuple[float, float]:
@@ -205,8 +291,8 @@ def extract_fwhm(curve: ScanCurve) -> tuple[float, float]:
     The peak center and height come from parabolic interpolation through
     the three highest contiguous samples; the half level is half of the
     interpolated peak height (not an assumed unit height).  Crossings of
-    the half level are located by linear interpolation on the nearest
-    flanks of the peak.
+    the half level are read on the nearest flanks of the peak from the
+    cubic through the four samples around each (_half_crossing).
 
     Returns
     -------
@@ -325,6 +411,16 @@ def _evaluate(
 NO_PEAK_FLOOR = 0.02
 
 
+@dataclass
+class WindowTally:
+    """Windows sampled, and windows discarded (widened or zoomed away
+    from), by the scans given this tally.  find_tau_min sums them over
+    its search."""
+
+    windows: int = 0
+    discarded: int = 0
+
+
 def scan(
     control_axis: str,
     spec: SequenceSpec | FinitePulseSpec,
@@ -332,6 +428,7 @@ def scan(
     window: tuple[float, float] | None = None,
     n_points: int = 161,
     workers: int = 1,
+    tally: WindowTally | None = None,
 ) -> ScanCurve:
     """Sweep one control axis and measure the central peak.
 
@@ -358,6 +455,8 @@ def scan(
         Contiguous chunks of a delta-kick scan, evaluated on at most
         os.cpu_count() threads; a finite-pulse scan runs as one chunk.
         The curve is bit-identical for every worker count and core count.
+    tally : WindowTally, optional
+        Adds this call's windows and discarded windows.
 
     Returns
     -------
@@ -386,6 +485,8 @@ def scan(
 
     def sample(lo: float, hi: float) -> ScanCurve:
         values = np.linspace(lo, hi, n_points)
+        if tally is not None:
+            tally.windows += 1
         output = _evaluate(spec, params, control_axis, values, workers)
         if finite and float(np.max(output)) < NO_PEAK_FLOOR:
             raise PeakNotBracketedError(
@@ -394,7 +495,7 @@ def scan(
             )
         return ScanCurve(values, output)
 
-    return _measure_peak(sample, lo, hi, zoom=window is None, cap=cap)
+    return _measure_peak(sample, lo, hi, zoom=window is None, cap=cap, tally=tally)
 
 
 def _measure_peak(
@@ -403,6 +504,7 @@ def _measure_peak(
     hi: float,
     zoom: bool,
     cap: float = math.inf,
+    tally: WindowTally | None = None,
 ) -> ScanCurve:
     """Measure sample(lo, hi), moving the window until the peak is measured.
 
@@ -411,7 +513,7 @@ def _measure_peak(
     raises.  With zoom set, a width under a tenth of the span narrows the
     window to four widths about its center, at most twice, so that the
     interpolation error stays in the 1e-3 range.  At most 16 windows are
-    sampled.
+    sampled.  Each widened or zoomed window counts in tally.discarded.
     """
     zooms = 0
     for _ in range(16):
@@ -428,13 +530,14 @@ def _measure_peak(
                 ) from None
             mid, half = 0.5 * (lo + hi), min(1.5 * (hi - lo), 0.5 * cap)
             lo, hi = mid - half, mid + half
-            continue
-        if zoom and zooms < 2 and curve.fwhm < (hi - lo) / 10.0:
+        else:
+            if not (zoom and zooms < 2 and curve.fwhm < (hi - lo) / 10.0):
+                return curve
             mid = 0.5 * (lo + hi)
             lo, hi = mid - 2.0 * curve.fwhm, mid + 2.0 * curve.fwhm
             zooms += 1
-            continue
-        return curve
+        if tally is not None:
+            tally.discarded += 1
     raise PeakNotBracketedError("peak not measured within 16 scan windows")
 
 
@@ -559,11 +662,14 @@ def _finite_width(
     params: PhysicalParams,
     center: float,
     n_points: int = 65,
+    window: tuple[float, float] | None = None,
+    tally: WindowTally | None = None,
 ) -> tuple[float, float]:
     """Width and offset from center of the timing peak of a finite-pulse
-    sequence with period center, measured by `scan` on its default window."""
+    sequence with period center, measured by `scan` on n_points samples of
+    window (offsets from center; default: scan's default window)."""
     spec = FinitePulseSpec(n_pulses=n_pulses, v0=v0, tau_p=tau_p, period=center)
-    curve = scan("eps", spec, params, n_points=n_points)
+    curve = scan("eps", spec, params, window=window, n_points=n_points, tally=tally)
     return curve.fwhm, curve.peak_center
 
 
@@ -701,6 +807,13 @@ def find_tau_min(
     coarse neighbors and starts from the three widths already measured
     there; tau_min is the narrowest of all measured durations.
 
+    Each width is measured by _finite_width on TAU_WIDTH_POINTS samples a
+    window.  A duration's first window is c -+ 2w, from the width w and
+    offset c of the nearest duration in log tau whose width was measured;
+    the first measurable duration starts on scan's default window.  One
+    DEBUG record per call reports the walk, the refinement steps, and the
+    windows sampled, discarded (widened or zoomed) and their fold columns.
+
     Requires gamma * n_pulses > 1; far below that the kicks are too weak
     for the width to turn over inside the domain.
 
@@ -727,18 +840,35 @@ def find_tau_min(
     v0 = v0_from_gamma(gamma, params)
     center = params.talbot_time
 
-    cache: dict[float, float] = {}
+    # (width, offset) per measured duration; a failed one is (inf, nan).
+    cache: dict[float, tuple[float, float]] = {}
+    tally = WindowTally()
+
+    def seeded_window(tau: float) -> tuple[float, float] | None:
+        """(c - 2w, c + 2w) from the nearest measured duration in log tau
+        with a finite width, its half-span at most T_T/2 like the default
+        window's; None (the default window) if there is none."""
+        measured = [t for t, (w, _) in cache.items() if math.isfinite(w)]
+        if not measured:
+            return None
+        s = math.log(tau)
+        w, c = cache[min(measured, key=lambda t: abs(math.log(t) - s))]
+        half = min(2.0 * w, 0.5 * center)
+        return c - half, c + half
 
     def width(tau: float) -> float:
         if tau not in cache:
             try:
-                cache[tau] = _finite_width(n_pulses, v0, tau, params, center)[0]
+                cache[tau] = _finite_width(
+                    n_pulses, v0, tau, params, center, n_points=TAU_WIDTH_POINTS,
+                    window=seeded_window(tau), tally=tally,
+                )
             except (PeakNotBracketedError, MultimodalPeakError):
                 # No measurable central peak: treat as unboundedly wide so
                 # the search stays away.  Expected deep in the long-pulse
                 # regime where the echo washes out.
-                cache[tau] = math.inf
-        return cache[tau]
+                cache[tau] = (math.inf, math.nan)
+        return cache[tau][0]
 
     taus = np.geomspace(
         TAU_DOMAIN_LO_FRACTION * center,
@@ -753,9 +883,11 @@ def find_tau_min(
         logger.debug(
             "find_tau_min(n_pulses=%d, gamma=%g): walked %d of %d durations, "
             "coarse argmin %d (tau = %.6g s), %d refinement evaluations "
-            "(%d parabolic, %d golden)",
+            "(%d parabolic, %d golden), %d windows sampled, %d discarded "
+            "(widened or zoomed), %d fold columns",
             n_pulses, gamma, walked, taus.size, i_min, taus[i_min],
             parabolic + golden, parabolic, golden,
+            tally.windows, tally.discarded, tally.windows * TAU_WIDTH_POINTS,
         )
 
     if not math.isfinite(widths[i_min]):
@@ -780,8 +912,8 @@ def find_tau_min(
         (math.log(taus[i_min + 1]), widths[i_min + 1]),
     )
     log_search(*steps)
-    tau_min = min(cache, key=cache.__getitem__)
-    return tau_min, cache[tau_min]
+    tau_min = min(cache, key=width)
+    return tau_min, width(tau_min)
 
 
 def fit_scaling(

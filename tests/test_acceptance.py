@@ -16,6 +16,7 @@ the finite-pulse peak shift.
 
 import numpy as np
 import pytest
+from scipy import optimize
 from oracles import apply_finite_pulse, splitstep_fiber
 from test_analytic import _fd_phase_slopes, _significant_q
 from test_ladder import _grid_kick, _random_state
@@ -31,7 +32,12 @@ from kickecho.analytic import (
     output_first_order,
     p0_phase_slopes,
 )
-from kickecho.finite_pulse import FinitePulseSpec, run_finite_sequence
+from kickecho import scans
+from kickecho.finite_pulse import (
+    FinitePulseSpec,
+    finite_return_amplitudes,
+    run_finite_sequence,
+)
 from kickecho.ladder import (
     SequenceSpec,
     WavepacketSpec,
@@ -67,18 +73,35 @@ def _report(report, index, name, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def pulse_grid(params):
+def pulse_search(params):
+    """Width-minimizing pulse durations over the full (gamma, N) grid, and
+    the fold columns that the searches evaluated."""
+    columns = []
+    engine = scans.finite_return_amplitudes
+
+    def counted(n_pulses, v0, tau_p, periods, betas, params):
+        columns.append(np.size(periods))
+        return engine(n_pulses, v0, tau_p, periods, betas, params)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scans, "finite_return_amplitudes", counted)
+        grid = {
+            (gamma, n): find_tau_min(n, gamma, params)
+            for gamma in GAMMA_GRID
+            for n in N_GRID
+            if gamma * n > 1.0
+        }
+    return grid, sum(columns)
+
+
+@pytest.fixture(scope="module")
+def pulse_grid(pulse_search):
     """Width-minimizing pulse durations over the full (gamma, N) grid.
 
     Shared between the scaling criterion and the peak-shift criterion,
     which reuses tau_min at gamma = 10, N = 32.
     """
-    return {
-        (gamma, n): find_tau_min(n, gamma, params)
-        for gamma in GAMMA_GRID
-        for n in N_GRID
-        if gamma * n > 1.0
-    }
+    return pulse_search[0]
 
 
 def test_criterion_1_perfect_echo(params, acceptance_report):
@@ -207,6 +230,53 @@ def test_criterion_5_finite_pulse_scaling(params, acceptance_report, pulse_grid)
         f"{max(w_products.values()):.2f} us, "
         f"slopes {tau_fit.exponent:+.3f}/{w_fit.exponent:+.3f}",
     )
+
+
+def test_width_search_columns_on_the_criterion_5_grid(pulse_search):
+    """The criterion-5 searches evaluate at most 10 500 fold columns; with
+    65-point default windows for every width they evaluated 20 995."""
+    assert pulse_search[1] <= 10_500
+
+
+def _engine_width(n_pulses, gamma, tau, w, params):
+    """Width of the timing peak whose maximum and half crossings come from
+    root-finding on the engine, in offsets u = eps / w."""
+    v0 = v0_from_gamma(gamma, params)
+    t_t = params.talbot_time
+
+    def output(u):
+        periods = t_t + np.atleast_1d(u) * w
+        return np.abs(finite_return_amplitudes(n_pulses, v0, tau, periods, 0.0, params)) ** 2
+
+    grid = np.linspace(-1.5, 1.5, 61)
+    values = output(grid)
+    i = int(np.argmax(values))
+    best = optimize.minimize_scalar(
+        lambda u: -float(output(u)[0]),
+        bracket=(grid[i - 1], grid[i], grid[i + 1]), method="brent", tol=1e-12,
+    )
+    half = -0.5 * best.fun
+    crossings = []
+    for direction in (-1, +1):
+        j = i
+        while values[j + direction] >= half:
+            j += direction
+        lo, hi = sorted((grid[j], grid[j + direction]))
+        crossings.append(
+            optimize.brentq(lambda u: float(output(u)[0]) - half, lo, hi, xtol=1e-12)
+        )
+    return (crossings[1] - crossings[0]) * w
+
+
+@pytest.mark.parametrize("cell", [(10.0, 32), (1.0, 128)])
+def test_width_search_reads_the_engine_width(params, pulse_grid, cell):
+    """At two criterion-5 cells w_min lies within 3e-5 relative of the
+    engine's own width at tau_min.  Lines through 65 samples of default
+    windows read them 3.9e-5 and 4.6e-5 too wide."""
+    gamma, n_pulses = cell
+    tau, w = pulse_grid[cell]
+    reference = _engine_width(n_pulses, gamma, tau, w, params)
+    assert w == pytest.approx(reference, rel=3e-5, abs=0.0)
 
 
 def test_criterion_6_oracle_equivalence(params, acceptance_report):

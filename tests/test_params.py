@@ -32,30 +32,30 @@ PHI_D_GAMMA_1_1US = 0.09706431533027583  # pulse area at gamma = 1, tau_p = 1 us
 
 
 def test_frozen_rb85_values(params):
-    assert params.talbot_time == pytest.approx(TALBOT_TIME_RB85, rel=1e-12)
-    assert params.omega_r == pytest.approx(OMEGA_R_RB85, rel=1e-12)
-    assert params.kappa == pytest.approx(KAPPA_RB85, rel=1e-12)
-    assert params.mass == pytest.approx(RB85_MASS_U * ATOMIC_MASS_KG, rel=1e-15)
+    assert params.talbot_time == pytest.approx(TALBOT_TIME_RB85, rel=1e-12, abs=0.0)
+    assert params.omega_r == pytest.approx(OMEGA_R_RB85, rel=1e-12, abs=0.0)
+    assert params.kappa == pytest.approx(KAPPA_RB85, rel=1e-12, abs=0.0)
+    assert params.mass == pytest.approx(RB85_MASS_U * ATOMIC_MASS_KG, rel=1e-15, abs=0.0)
 
 
 def test_talbot_identity(params):
     """One full Talbot period advances the q = 1 phase by exactly 2*pi."""
     ident = HBAR * params.kappa**2 * params.talbot_time / (2.0 * params.mass)
-    assert ident == pytest.approx(2.0 * math.pi, rel=1e-12)
+    assert ident == pytest.approx(2.0 * math.pi, rel=1e-12, abs=0.0)
     assert params.ladder_phase_rate * params.talbot_time == pytest.approx(
-        2.0 * math.pi, rel=1e-12
+        2.0 * math.pi, rel=1e-12, abs=0.0
     )
 
 
 def test_recoil_momentum(params):
-    assert params.recoil_momentum == pytest.approx(HBAR * params.kappa, rel=1e-15)
+    assert params.recoil_momentum == pytest.approx(HBAR * params.kappa, rel=1e-15, abs=0.0)
 
 
 def test_wavelength_doubling_quadruples_talbot():
     base = rb85_params(wavelength=780e-9)
     doubled = rb85_params(wavelength=1560e-9)
-    assert doubled.talbot_time == pytest.approx(4.0 * base.talbot_time, rel=1e-12)
-    assert doubled.kappa == pytest.approx(base.kappa / 2.0, rel=1e-12)
+    assert doubled.talbot_time == pytest.approx(4.0 * base.talbot_time, rel=1e-12, abs=0.0)
+    assert doubled.kappa == pytest.approx(base.kappa / 2.0, rel=1e-12, abs=0.0)
 
 
 def test_derive_params_rejects_bad_inputs():
@@ -75,16 +75,16 @@ def test_lost_talbot_identity_is_a_value_error():
 
 
 def test_v0_gamma_frozen_value(params):
-    assert v0_from_gamma(1.0, params) == pytest.approx(V0_GAMMA_1, rel=1e-12)
-    assert gamma_from_v0(V0_GAMMA_1, params) == pytest.approx(1.0, rel=1e-12)
+    assert v0_from_gamma(1.0, params) == pytest.approx(V0_GAMMA_1, rel=1e-12, abs=0.0)
+    assert gamma_from_v0(V0_GAMMA_1, params) == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
 def test_finite_pulse_phi_d_frozen_value(params):
     """FinitePulseSpec.phi_d is the one pulse-area formula V0*tau_p/(2*hbar)."""
     spec = FinitePulseSpec(4, V0_GAMMA_1, 1e-6, params.talbot_time)
-    assert spec.phi_d == pytest.approx(PHI_D_GAMMA_1_1US, rel=1e-12)
-    assert spec.phi_d == pytest.approx(V0_GAMMA_1 * 1e-6 / (2.0 * HBAR), rel=1e-12)
-    assert spec.gamma(params) == pytest.approx(1.0, rel=1e-12)
+    assert spec.phi_d == pytest.approx(PHI_D_GAMMA_1_1US, rel=1e-12, abs=0.0)
+    assert spec.phi_d == pytest.approx(V0_GAMMA_1 * 1e-6 / (2.0 * HBAR), rel=1e-12, abs=0.0)
+    assert spec.gamma(params) == pytest.approx(1.0, rel=1e-12, abs=0.0)
     assert FinitePulseSpec(4, V0_GAMMA_1, 0.0, params.talbot_time).phi_d == 0.0
 
 
@@ -92,7 +92,7 @@ def test_finite_pulse_phi_d_frozen_value(params):
 def test_gamma_round_trip(gamma):
     params = rb85_params()
     assert gamma_from_v0(v0_from_gamma(gamma, params), params) == pytest.approx(
-        gamma, rel=1e-12
+        gamma, rel=1e-12, abs=0.0
     )
 
 
@@ -103,7 +103,7 @@ def test_gamma_round_trip(gamma):
 def test_talbot_identity_everywhere(mass_u, wavelength_nm):
     p = derive_params(mass_u * ATOMIC_MASS_KG, wavelength_nm * 1e-9)
     ident = HBAR * p.kappa**2 * p.talbot_time / (2.0 * p.mass)
-    assert ident == pytest.approx(2.0 * math.pi, rel=1e-12)
+    assert ident == pytest.approx(2.0 * math.pi, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(

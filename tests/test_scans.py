@@ -57,12 +57,67 @@ def test_extract_fwhm_on_synthetic_bessel_peak():
 
 
 def test_extract_fwhm_triangle_is_exact():
-    """Linear interpolation is exact on a piecewise-linear peak."""
+    """A piecewise-linear peak is read exactly: the cubic through four
+    collinear samples is their line."""
     x = np.linspace(-3.0, 3.0, 121)
     y = np.clip(1.0 - np.abs(x) / 2.0, 0.0, None)
     fwhm, center = extract_fwhm(ScanCurve(x, y))
     assert fwhm == pytest.approx(2.0, abs=1e-12)
     assert center == pytest.approx(0.0, abs=1e-12)
+
+
+def test_half_crossings_are_exact_on_cubic_flanks():
+    """The cubic through the four samples around a crossing is the flank
+    itself when each flank is a cubic, so both crossings come out exact."""
+    left = np.polynomial.Polynomial([1.0, -0.3, -0.9, 0.2])
+    right = np.polynomial.Polynomial([1.0, -0.5, -0.2, -0.3])
+    x = np.linspace(-1.0, 1.0, 33)
+    y = np.where(x < 0.0, left(-x), right(x))
+    i_max = int(np.argmax(y))
+    half = 0.5 * scans._parabolic_peak(x, y, i_max)[1]
+
+    def root(flank):
+        (u,) = [
+            r.real for r in (flank - half).roots() if abs(r.imag) < 1e-12 and 0 < r.real < 1
+        ]
+        return u
+
+    lo = scans._half_crossing(x, y, i_max, half, -1)
+    hi = scans._half_crossing(x, y, i_max, half, +1)
+    assert lo == pytest.approx(-root(left), rel=1e-12, abs=0.0)
+    assert hi == pytest.approx(root(right), rel=1e-12, abs=0.0)
+    fwhm, _ = extract_fwhm(ScanCurve(x, y))
+    assert fwhm == pytest.approx(root(left) + root(right), rel=1e-12, abs=0.0)
+
+
+def test_cubic_crossings_read_a_coarse_bessel_peak():
+    """On 33 samples of J_0(x)^2 the cubic crossings give 2 * X_HALF within
+    2e-5; lines through the bracketing samples read it 1.8e-4 too wide."""
+    x = np.linspace(-2.2, 2.2, 33)
+    y = special.j0(x) ** 2
+    fwhm, _ = extract_fwhm(ScanCurve(x, y))
+    assert fwhm == pytest.approx(2.0 * X_HALF, rel=2e-5, abs=0.0)
+
+    def linear(direction):
+        i = 16
+        while y[i + direction] >= 0.5:
+            i += direction
+        j = i + direction
+        return x[i] + (0.5 - y[i]) / (y[j] - y[i]) * (x[j] - x[i])
+
+    assert abs((linear(1) - linear(-1)) / (2.0 * X_HALF) - 1.0) > 2e-5
+
+
+def test_crossing_in_an_edge_interval_is_linear():
+    """A crossing between the first two or the last two samples has no
+    outer neighbor for the cubic and is read from the line."""
+    x = np.linspace(-1.15, 1.15, 33)
+    y = special.j0(x) ** 2
+    assert y[0] < 0.5 <= y[1] and y[-1] < 0.5 <= y[-2]
+    for direction, i, j in ((-1, 1, 0), (+1, 31, 32)):
+        crossing = scans._half_crossing(x, y, 16, 0.5, direction)
+        xi, xj, yi, yj = float(x[i]), float(x[j]), float(y[i]), float(y[j])
+        assert crossing == xi + (0.5 - yi) / (yj - yi) * (xj - xi)
 
 
 def test_rival_maximum_above_half_is_rejected():
@@ -250,11 +305,11 @@ def test_scan_widens_a_too_narrow_window_until_bracketed(params):
     assert c.fwhm == direct.fwhm
     # An off-center window widens about its own center.
     c = scan("eps", spec, params, window=(-w / 8.0, w / 4.0), n_points=65)
-    assert c.control[0] == pytest.approx(w / 16.0 - 9.0 * w / 16.0, rel=1e-12)
-    assert c.control[-1] == pytest.approx(w / 16.0 + 9.0 * w / 16.0, rel=1e-12)
+    assert c.control[0] == pytest.approx(w / 16.0 - 9.0 * w / 16.0, rel=1e-12, abs=0.0)
+    assert c.control[-1] == pytest.approx(w / 16.0 + 9.0 * w / 16.0, rel=1e-12, abs=0.0)
     # w/100 wide, then 3, 9, 27, 81 and 243 times that.
     c = scan("eps", spec, params, window=(-w / 200.0, w / 200.0), n_points=65)
-    assert c.control[-1] == pytest.approx(243.0 * w / 200.0, rel=1e-12)
+    assert c.control[-1] == pytest.approx(243.0 * w / 200.0, rel=1e-12, abs=0.0)
     assert c.fwhm == pytest.approx(w, rel=2e-2)
     # Two weak kicks make a timing peak wider than one resonance period.
     weak = SequenceSpec(2, 0.5, params.talbot_time)
@@ -272,7 +327,7 @@ def test_scan_widens_a_too_narrow_window_until_bracketed(params):
     assert np.array_equal(g.output, direct.output)
     assert g.fwhm == direct.fwhm
     g = gaussian_accel_scan(10, 0.5, wp, params, window=(-a / 200.0, a / 200.0), n_points=33)
-    assert g.control[-1] == pytest.approx(243.0 * a / 200.0, rel=1e-12)
+    assert g.control[-1] == pytest.approx(243.0 * a / 200.0, rel=1e-12, abs=0.0)
     assert g.fwhm == pytest.approx(a, rel=2e-2)
 
 
@@ -477,7 +532,9 @@ class _ReplayedWidths:
         self.walked: list[int] = []
         self.refined: list[float] = []
 
-    def __call__(self, n_pulses, v0, tau_p, params, center):
+    def __call__(
+        self, n_pulses, v0, tau_p, params, center, n_points=65, window=None, tally=None
+    ):
         if tau_p in self.widths:
             self.walked.append(int(np.flatnonzero(self.taus == tau_p)[0]))
             w = self.widths[tau_p]
@@ -561,6 +618,49 @@ def test_tau_min_logs_one_debug_record_per_call(monkeypatch, params, caplog):
     (record,) = caplog.records
     assert "walked 3 of 18" in record.getMessage()
     assert "0 refinement evaluations (0 parabolic, 0 golden)" in record.getMessage()
+
+
+def test_tau_min_debug_record_counts_windows_and_columns(monkeypatch, params, caplog):
+    """On a real cell the record's window and column counts match the
+    engine calls made: one call of TAU_WIDTH_POINTS columns per window.
+    They are deterministic."""
+    columns = []
+    engine = scans.finite_return_amplitudes
+
+    def counted(n_pulses, v0, tau_p, periods, betas, params):
+        columns.append(np.size(periods))
+        return engine(n_pulses, v0, tau_p, periods, betas, params)
+
+    monkeypatch.setattr(scans, "finite_return_amplitudes", counted)
+    caplog.set_level(logging.DEBUG, logger="kickecho.scans")
+    pattern = r"(\d+) windows sampled, (\d+) discarded \(widened or zoomed\), (\d+) fold columns"
+    messages = []
+    for _ in range(2):
+        columns.clear()
+        caplog.clear()
+        find_tau_min(4, 10.0, params)
+        (record,) = caplog.records
+        messages.append(record.getMessage())
+        windows, discarded, fold_columns = map(int, re.search(pattern, messages[-1]).groups())
+        assert windows == len(columns)
+        assert fold_columns == sum(columns) == windows * scans.TAU_WIDTH_POINTS
+        assert 0 < discarded < windows
+    assert messages[0] == messages[1]
+
+
+def test_seeded_window_keeps_the_split_peak_verdict(params):
+    """At (gamma, N) = (100, 16) the timing peak splits at tau_p = 0.65 and
+    0.70 us.  On TAU_WIDTH_POINTS samples of a window seeded from the
+    0.55 us width, both durations still raise MultimodalPeakError."""
+    v0 = v0_from_gamma(100.0, params)
+    t_t = params.talbot_time
+    points = scans.TAU_WIDTH_POINTS
+    w, c = scans._finite_width(16, v0, 0.55e-6, params, t_t, n_points=points)
+    for tau in (0.65e-6, 0.70e-6):
+        with pytest.raises(MultimodalPeakError, match="secondary maximum"):
+            scans._finite_width(
+                16, v0, tau, params, t_t, n_points=points, window=(c - 2 * w, c + 2 * w)
+            )
 
 
 def _refinement_counts(caplog) -> tuple[int, int]:
